@@ -1,31 +1,11 @@
 package main
 
 import (
-	"context"
 	"fmt"
-	"log"
-	"math"
 	"sort"
 	"strconv"
 	"strings"
-	"time"
-
-	"archcontest"
-	"archcontest/internal/cache"
 )
-
-// scalingRow is one worker count of the multi-core scaling leg: the same
-// fixed job set timed end-to-end under RunBatch with Workers=N.
-type scalingRow struct {
-	Workers     int     `json:"workers"`
-	Jobs        int     `json:"jobs"`
-	Insts       int64   `json:"insts"` // total simulated instructions across jobs
-	WallSeconds float64 `json:"wall_seconds"`
-	MIPS        float64 `json:"mips"` // aggregate simulated Minst per wall second
-	// Scaling is MIPS relative to the workers=1 row of the same series
-	// (recomputed after -merge, so it always reflects the merged walls).
-	Scaling float64 `json:"scaling"`
-}
 
 // parseWorkerList parses a comma-separated list of worker counts.
 func parseWorkerList(s string) ([]int, error) {
@@ -43,168 +23,4 @@ func parseWorkerList(s string) ([]int, error) {
 	}
 	sort.Ints(out)
 	return out, nil
-}
-
-// scalingJobs builds the fixed job set of the scaling leg: two copies of
-// each Table-1 single-core scenario. The set is identical for every worker
-// count, so aggregate MIPS is comparable across rows, and traces are
-// shared between copies (cores only read them).
-func scalingJobs(n int) []archcontest.BatchItem {
-	benches := []string{"mcf", "gcc", "crafty", "twolf"}
-	items := make([]archcontest.BatchItem, 0, 2*len(benches))
-	for _, b := range benches {
-		tr := archcontest.MustGenerateTrace(b, n)
-		cfg := archcontest.MustPaletteCore(b)
-		for c := 0; c < 2; c++ {
-			items = append(items, archcontest.BatchItem{
-				Config: cfg,
-				Trace:  tr,
-				Opts:   archcontest.RunOptions{WritePolicy: cache.WriteThrough},
-			})
-		}
-	}
-	return items
-}
-
-// runScalingLeg times the fixed job set once per worker count and returns
-// the rows, best-of-repeat per row. GroupSize 1 spreads the jobs across
-// workers; the within-worker interleave is measured by the batch
-// microbenchmarks instead, so this leg isolates multi-core scaling.
-func runScalingLeg(ctx context.Context, workerCounts []int, n, repeat int) []scalingRow {
-	items := scalingJobs(n)
-	var total int64
-	for _, it := range items {
-		total += int64(it.Trace.Len())
-	}
-	rows := make([]scalingRow, 0, len(workerCounts))
-	for _, w := range workerCounts {
-		best := math.MaxFloat64
-		for i := 0; i < repeat; i++ {
-			start := time.Now()
-			if _, err := archcontest.RunBatch(ctx, items, archcontest.BatchOptions{Workers: w, GroupSize: 1}); err != nil {
-				log.Fatalf("scaling workers=%d: %v", w, err)
-			}
-			if sec := time.Since(start).Seconds(); sec < best {
-				best = sec
-			}
-		}
-		rows = append(rows, scalingRow{
-			Workers:     w,
-			Jobs:        len(items),
-			Insts:       total,
-			WallSeconds: best,
-			MIPS:        float64(total) / best / 1e6,
-		})
-	}
-	fillScaling(rows)
-	for _, r := range rows {
-		fmt.Printf("scaling %2d workers  %8.3fs  %8.2f MIPS  %5.2fx\n",
-			r.Workers, r.WallSeconds, r.MIPS, r.Scaling)
-	}
-	return rows
-}
-
-// contestScalingJobs builds the fixed contest job set of the contest
-// scaling leg: two copies of each Table-1 contest scenario. Traces are
-// shared between copies (systems only read them).
-func contestScalingJobs(n int) []archcontest.ContestBatchItem {
-	pairs := [][]string{
-		{"twolf", "vpr"},
-		{"mcf", "gcc"},
-		{"gcc", "mcf", "bzip", "crafty"},
-	}
-	items := make([]archcontest.ContestBatchItem, 0, 2*len(pairs))
-	for _, cores := range pairs {
-		tr := archcontest.MustGenerateTrace(cores[0], n)
-		cfgs := make([]archcontest.CoreConfig, len(cores))
-		for i, c := range cores {
-			cfgs[i] = archcontest.MustPaletteCore(c)
-		}
-		for c := 0; c < 2; c++ {
-			items = append(items, archcontest.ContestBatchItem{Configs: cfgs, Trace: tr})
-		}
-	}
-	return items
-}
-
-// runContestScalingLeg times the fixed contest job set once per worker
-// count under ContestRunBatch, best-of-repeat per row. GroupSize 1
-// isolates multi-core scaling of whole contest systems, symmetric with
-// the single-core scaling leg.
-func runContestScalingLeg(ctx context.Context, workerCounts []int, n, repeat int) []scalingRow {
-	items := contestScalingJobs(n)
-	var total int64
-	for _, it := range items {
-		total += int64(it.Trace.Len())
-	}
-	rows := make([]scalingRow, 0, len(workerCounts))
-	for _, w := range workerCounts {
-		best := math.MaxFloat64
-		for i := 0; i < repeat; i++ {
-			start := time.Now()
-			if _, err := archcontest.ContestRunBatch(ctx, items, archcontest.ContestBatchOptions{Workers: w, GroupSize: 1}); err != nil {
-				log.Fatalf("contest scaling workers=%d: %v", w, err)
-			}
-			if sec := time.Since(start).Seconds(); sec < best {
-				best = sec
-			}
-		}
-		rows = append(rows, scalingRow{
-			Workers:     w,
-			Jobs:        len(items),
-			Insts:       total,
-			WallSeconds: best,
-			MIPS:        float64(total) / best / 1e6,
-		})
-	}
-	fillScaling(rows)
-	for _, r := range rows {
-		fmt.Printf("contest scaling %2d workers  %8.3fs  %8.2f MIPS  %5.2fx\n",
-			r.Workers, r.WallSeconds, r.MIPS, r.Scaling)
-	}
-	return rows
-}
-
-// fillScaling recomputes MIPS and the Scaling column from the walls, using
-// the workers=1 row (or the smallest worker count present) as the unit.
-func fillScaling(rows []scalingRow) {
-	if len(rows) == 0 {
-		return
-	}
-	base := rows[0]
-	for _, r := range rows {
-		if r.Workers < base.Workers {
-			base = r
-		}
-	}
-	for i := range rows {
-		r := &rows[i]
-		if r.WallSeconds > 0 {
-			r.MIPS = float64(r.Insts) / r.WallSeconds / 1e6
-		}
-		if base.WallSeconds > 0 && r.WallSeconds > 0 {
-			r.Scaling = base.WallSeconds / r.WallSeconds
-		}
-	}
-}
-
-// mergeScaling folds previous scaling rows in, keeping the best wall per
-// (workers, jobs, insts) row, then recomputes the derived columns.
-func mergeScaling(fresh []scalingRow, prev []scalingRow) []scalingRow {
-	type key struct {
-		workers, jobs int
-		insts         int64
-	}
-	byKey := make(map[key]scalingRow, len(prev))
-	for _, r := range prev {
-		byKey[key{r.Workers, r.Jobs, r.Insts}] = r
-	}
-	for i := range fresh {
-		r := &fresh[i]
-		if old, ok := byKey[key{r.Workers, r.Jobs, r.Insts}]; ok && old.WallSeconds < r.WallSeconds {
-			r.WallSeconds = old.WallSeconds
-		}
-	}
-	fillScaling(fresh)
-	return fresh
 }

@@ -22,7 +22,7 @@ type NodeOptions struct {
 	Cache *resultcache.Cache
 	// Blobs, if non-nil, mounts resultcache.BlobHandler at /v1/blobs/,
 	// letting other fleet members use this node as their remote result
-	// tier (the embedded cachesrv).
+	// tier (what cmd/serve -cache.serve turns on).
 	Blobs resultcache.Store
 }
 

@@ -92,7 +92,7 @@ func CacheFlags(fs *flag.FlagSet) func() *resultcache.Cache {
 	dir := fs.String("cache.dir", resultcache.DefaultDir, "persistent result cache directory")
 	off := fs.Bool("cache.off", false, "disable the persistent result cache")
 	mem := fs.Int("cache.mem", 0, "in-memory cache tier size in entries (0 = default); campaign-scale runs touch more design points than the default LRU holds")
-	remote := fs.String("cache.remote", "", "remote blob store base URL (a cachesrv or a serve node with -cache.serve); overrides -cache.dir")
+	remote := fs.String("cache.remote", "", "remote blob store base URL (a serve node started with -cache.serve); overrides -cache.dir")
 	return func() *resultcache.Cache {
 		if *off {
 			return nil

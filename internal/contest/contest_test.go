@@ -1,6 +1,8 @@
 package contest
 
 import (
+	"context"
+	"strings"
 	"testing"
 
 	"archcontest/internal/branch"
@@ -64,6 +66,21 @@ func TestNewSystemRejects(t *testing.T) {
 	bad[0].Width = 0
 	if _, err := NewSystem(bad, tr, Options{}); err == nil {
 		t.Error("invalid core accepted")
+	}
+}
+
+// A contest that overruns MaxTimeNs must fail with the "exceeded" error on
+// both schedulers rather than run on.
+func TestRunContextMaxTime(t *testing.T) {
+	tr := workload.MustGenerate("mcf", 8000)
+	cfgs := []config.CoreConfig{fastCore("a"), slowBigCore("b"), tinyCore("c")}
+	for _, single := range []bool{false, true} {
+		_, err := RunContext(context.Background(), cfgs, tr, Options{MaxTimeNs: 1, SingleStep: single})
+		if err == nil {
+			t.Errorf("SingleStep=%v: time bound not enforced", single)
+		} else if !strings.Contains(err.Error(), "exceeded") {
+			t.Errorf("SingleStep=%v: error %v", single, err)
+		}
 	}
 }
 

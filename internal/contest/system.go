@@ -266,37 +266,8 @@ func (s *System) runSingleStep(ctx context.Context) (Result, error) {
 	}
 }
 
-// runner is the resumable form of the event-driven scheduler: the per-run
-// state (the indexed core heap, the fast-forward bounds, the time budget)
-// lives in the struct, and step executes exactly one scheduler iteration —
-// a dead-cycle fast-forward or one core cycle. RunContext drives a runner
-// to completion in a tight loop; RunBatch interleaves many runners, each
-// advancing a quantum of iterations at a time, and the resulting execution
-// of every system is bit-identical to a dedicated sequential run because a
-// runner's state is touched by nothing outside its own System.
-type runner struct {
-	s       *System
-	h       *coreHeap
-	maxTime ticks.Time
-	winner  int
-	done    bool
-}
-
-// newRunner prepares the system for event-driven execution. A system runs
-// once: building a second runner on the same system is invalid.
-func (s *System) newRunner() *runner {
-	s.bounds = make([]ticks.Time, len(s.cores))
-	return &runner{
-		s:       s,
-		h:       newCoreHeap(s),
-		maxTime: ticks.Time(ticks.FromNanoseconds(s.opts.MaxTimeNs)),
-		winner:  -1,
-	}
-}
-
-// step executes one scheduler iteration. It reports true when the contest
-// finished (the winner is recorded on the runner), and an error when a core
-// exceeded the time budget. Calling step after completion is invalid.
+// runEventDriven is the event-driven scheduler. Each loop iteration is
+// either a dead-cycle fast-forward or one core cycle.
 //
 // The scheduling rule: cores live in an indexed min-heap keyed on each
 // core's live edge — the later of its current clock edge and its
@@ -310,72 +281,12 @@ func (s *System) newRunner() *runner {
 // deleted: every progressing step of every core happens at the same cycle,
 // in the same global order, with the same inputs, so all reported numbers —
 // including each core's dead-cycle-inflated Stats.Cycles, reconstructed at
-// the end by settle — are bit-identical to runSingleStep.
-func (r *runner) step() (bool, error) {
-	s := r.s
-	i := r.h.min()
-	c := s.cores[i]
-	if c.Now() > r.maxTime {
-		return false, fmt.Errorf("contest: %s exceeded %gns without finishing", s.tr.Name(), s.opts.MaxTimeNs)
-	}
-	if b := s.bounds[i]; b > c.Now() {
-		// Fast-forward over the dead cycles to the first edge at or
-		// past the bound.
-		clk := c.Clock()
-		cc := clk.CycleAt(b)
-		if clk.TimeOfCycle(cc) < b {
-			cc++
-		}
-		c.SkipTo(cc)
-		s.bounds[i] = 0
-		r.h.fix()
-		return false, nil
-	}
-	c.Step()
-	if ret := c.Retired(); ret > s.cores[s.leader].Retired() && i != s.leader {
-		s.leader = i
-		s.leadChanges++
-	}
-	if s.opts.Observer != nil {
-		s.opts.Observer.AfterStep(s, i)
-	}
-	if c.Done() {
-		s.settle(i)
-		r.winner = i
-		r.done = true
-		return true, nil
-	}
-	if c.Progressed() {
-		s.bounds[i] = 0
-	} else if next, ok := c.NextEvent(); ok {
-		s.bounds[i] = c.Clock().TimeOfCycle(next)
-	} else {
-		// Blocked on the store queue or the exception rendezvous:
-		// their state changes on other cores' retirements in ways the
-		// core cannot bound, and the gate consult itself mutates the
-		// coordinator, so the core must present itself every cycle.
-		s.bounds[i] = 0
-	}
-	// The step may have broadcast retirements that clamped any bound.
-	r.h.fix()
-	return false, nil
-}
-
-// advance runs up to n scheduler iterations, stopping early on completion.
-// It reports whether the contest finished.
-func (r *runner) advance(n int) (bool, error) {
-	for j := 0; j < n; j++ {
-		fin, err := r.step()
-		if err != nil || fin {
-			return fin, err
-		}
-	}
-	return false, nil
-}
-
-// runEventDriven drives a runner to completion (see runner).
+// the end by settle — are bit-identical to runSingleStep. A system runs
+// once: the scheduler state it allocates here is not reset.
 func (s *System) runEventDriven(ctx context.Context) (Result, error) {
-	r := s.newRunner()
+	s.bounds = make([]ticks.Time, len(s.cores))
+	h := newCoreHeap(s)
+	maxTime := ticks.Time(ticks.FromNanoseconds(s.opts.MaxTimeNs))
 	done := ctx.Done()
 	var poll int
 	for {
@@ -389,13 +300,49 @@ func (s *System) runEventDriven(ctx context.Context) (Result, error) {
 				}
 			}
 		}
-		fin, err := r.step()
-		if err != nil {
-			return Result{}, err
+		i := h.min()
+		c := s.cores[i]
+		if c.Now() > maxTime {
+			return Result{}, fmt.Errorf("contest: %s exceeded %gns without finishing", s.tr.Name(), s.opts.MaxTimeNs)
 		}
-		if fin {
-			return s.result(r.winner), nil
+		if b := s.bounds[i]; b > c.Now() {
+			// Fast-forward over the dead cycles to the first edge at or
+			// past the bound.
+			clk := c.Clock()
+			cc := clk.CycleAt(b)
+			if clk.TimeOfCycle(cc) < b {
+				cc++
+			}
+			c.SkipTo(cc)
+			s.bounds[i] = 0
+			h.fix()
+			continue
 		}
+		c.Step()
+		if ret := c.Retired(); ret > s.cores[s.leader].Retired() && i != s.leader {
+			s.leader = i
+			s.leadChanges++
+		}
+		if s.opts.Observer != nil {
+			s.opts.Observer.AfterStep(s, i)
+		}
+		if c.Done() {
+			s.settle(i)
+			return s.result(i), nil
+		}
+		if c.Progressed() {
+			s.bounds[i] = 0
+		} else if next, ok := c.NextEvent(); ok {
+			s.bounds[i] = c.Clock().TimeOfCycle(next)
+		} else {
+			// Blocked on the store queue or the exception rendezvous:
+			// their state changes on other cores' retirements in ways the
+			// core cannot bound, and the gate consult itself mutates the
+			// coordinator, so the core must present itself every cycle.
+			s.bounds[i] = 0
+		}
+		// The step may have broadcast retirements that clamped any bound.
+		h.fix()
 	}
 }
 

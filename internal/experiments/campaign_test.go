@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -207,6 +208,22 @@ func TestWarmCacheGolden(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a.bestPair, b.bestPair) || !reflect.DeepEqual(a.bestPair, c.bestPair) {
 		t.Error("best pair differs across cold/warm/uncached labs")
+	}
+}
+
+// A negative Parallelism (a CLI flag such as -par -1) means NumCPU, as zero
+// does, instead of a negative semaphore capacity.
+func TestNegativeParallelismMeansNumCPU(t *testing.T) {
+	l := NewLab(Config{N: 2_000, Parallelism: -1})
+	if got := l.cfg.Parallelism; got != runtime.NumCPU() {
+		t.Errorf("Parallelism -1 became %d, want NumCPU (%d)", got, runtime.NumCPU())
+	}
+	m, err := l.Matrix(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }
 
