@@ -1,12 +1,18 @@
-// Engine-throughput benchmarks: the event-driven fast-forward path against
-// the reference single-cycle/single-step path, on the scenarios where dead
+// Engine micro-benchmarks: the event-driven fast-forward path against the
+// reference single-cycle/single-step path, on the scenarios where dead
 // cycles dominate (memory-bound workloads on deep-window cores) and where
-// they don't. All report simulated instructions per wall-second so the
-// perf trajectory is comparable across PRs; cmd/bench runs the same
-// scenarios standalone and emits BENCH_engine.json.
+// they don't, plus the recorder-attached contest and the trace generator.
+// All report simulated (or generated) instructions per wall-second. They
+// are quick same-binary comparisons (`go test -run '^$' -bench
+// BenchmarkEngine .`); the repository benchmark in benchmark/ is the
+// calibrated, end-to-end perf ledger.
 package archcontest
 
-import "testing"
+import (
+	"testing"
+
+	"archcontest/internal/obs"
+)
 
 func benchmarkEngineRun(b *testing.B, bench, core string, singleStep bool) {
 	b.Helper()
@@ -25,18 +31,32 @@ func benchmarkEngineRun(b *testing.B, bench, core string, singleStep bool) {
 	b.ReportMetric(float64(tr.Len()*b.N)/b.Elapsed().Seconds()/1e6, "Msim-inst/s")
 }
 
-func benchmarkEngineContest(b *testing.B, bench, a, c string, singleStep bool) {
+// benchmarkEngineContest times one 2-way contest per iteration; with
+// record set, each iteration attaches a fresh observability recorder.
+func benchmarkEngineContest(b *testing.B, bench, a, c string, singleStep, record bool) {
 	b.Helper()
 	tr := MustGenerateTrace(bench, 100_000)
 	pair := []CoreConfig{MustPaletteCore(a), MustPaletteCore(c)}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, err := ContestRun(pair, tr, ContestOptions{SingleStep: singleStep})
+		opts := ContestOptions{SingleStep: singleStep}
+		var rec *obs.Recorder
+		if record {
+			rec = obs.NewRecorder(obs.Options{})
+			opts.Observer = rec
+		}
+		r, err := ContestRun(pair, tr, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
 		if r.Insts != int64(tr.Len()) {
 			b.Fatal("incomplete run")
+		}
+		if rec != nil {
+			rec.FinishContest(r)
+			if len(rec.Events()) == 0 {
+				b.Fatal("recorder attached but captured nothing")
+			}
 		}
 	}
 	b.ReportMetric(float64(tr.Len()*b.N)/b.Elapsed().Seconds()/1e6, "Msim-inst/s")
@@ -57,7 +77,26 @@ func BenchmarkEngineCompute(b *testing.B)           { benchmarkEngineRun(b, "cra
 func BenchmarkEngineComputeSingleStep(b *testing.B) { benchmarkEngineRun(b, "crafty", "crafty", true) }
 
 // 2-way contested co-simulation with the heap scheduler.
-func BenchmarkEngineContest(b *testing.B) { benchmarkEngineContest(b, "twolf", "twolf", "vpr", false) }
+func BenchmarkEngineContest(b *testing.B) {
+	benchmarkEngineContest(b, "twolf", "twolf", "vpr", false, false)
+}
 func BenchmarkEngineContestSingleStep(b *testing.B) {
-	benchmarkEngineContest(b, "twolf", "twolf", "vpr", true)
+	benchmarkEngineContest(b, "twolf", "twolf", "vpr", true, false)
+}
+
+// The same contest with the observability recorder attached: against
+// BenchmarkEngineContest, the recorder-on cost.
+func BenchmarkEngineContestRecorded(b *testing.B) {
+	benchmarkEngineContest(b, "twolf", "twolf", "vpr", false, true)
+}
+
+// BenchmarkTraceGeneration measures the synthetic workload generator.
+func BenchmarkTraceGeneration(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		tr := MustGenerateTrace("mcf", 100_000)
+		if tr.Len() != 100_000 {
+			b.Fatal("short trace")
+		}
+	}
+	b.ReportMetric(float64(100_000*b.N)/b.Elapsed().Seconds()/1e6, "Minst/s")
 }

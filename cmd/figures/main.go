@@ -55,13 +55,13 @@ func main() {
 		return
 	}
 
+	ids, err := experimentIDs(*experiment)
+	if err != nil {
+		log.Fatalf("-experiment: %v", err)
+	}
 	ctx, stop := cmdutil.SignalContext()
 	defer stop()
 
-	ids := experiments.RegistryOrder
-	if *experiment != "" {
-		ids = strings.Split(*experiment, ",")
-	}
 	env := spec.NewEnv(openCache())
 	env.Parallelism = *par
 	if obsFlags.Wanted() {
@@ -77,7 +77,6 @@ func main() {
 	})
 	campaignStart := time.Now()
 	for _, id := range ids {
-		id = strings.TrimSpace(id)
 		start := time.Now()
 		out, err := spec.Execute(ctx, spec.Spec{
 			Kind: spec.KindExperiment, Experiment: id,
@@ -107,4 +106,26 @@ func main() {
 		}
 	}
 	cmdutil.PrintCacheStats(env.Cache)
+}
+
+// experimentIDs parses the -experiment list: empty selects every registered
+// experiment, otherwise each comma-separated ID must name one. The whole
+// list is checked before any experiment runs, so a typo late in it fails
+// fast instead of after minutes of simulation.
+func experimentIDs(list string) ([]string, error) {
+	if list == "" {
+		return experiments.RegistryOrder, nil
+	}
+	ids := strings.Split(list, ",")
+	for i, id := range ids {
+		id = strings.TrimSpace(id)
+		if id == "" {
+			return nil, fmt.Errorf("empty experiment ID in %q", list)
+		}
+		if _, ok := experiments.Registry[id]; !ok {
+			return nil, fmt.Errorf("unknown experiment %q (see -list)", id)
+		}
+		ids[i] = id
+	}
+	return ids, nil
 }

@@ -62,7 +62,7 @@ func (n *FleetNode) Shutdown(ctx context.Context) error {
 }
 
 // Fleet is an in-process coordinator plus N nodes, the harness behind the
-// cluster load/fault tests and cmd/bench -cluster.
+// cluster load/fault tests and the repository benchmark's serve workload.
 type Fleet struct {
 	Coord    *Coordinator
 	CoordURL string

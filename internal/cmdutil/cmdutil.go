@@ -125,7 +125,7 @@ func PrintCacheStats(c *resultcache.Cache) {
 // ObsSet holds the observability flag values shared by every driver.
 type ObsSet struct {
 	// Timeline is the -timeline path: a Chrome trace_event JSON of the run
-	// (cmd/contest, cmd/bench) or of the campaign's artifact schedule
+	// (cmd/contest) or of the campaign's artifact schedule
 	// (cmd/figures, cmd/matrix, cmd/explore), loadable in chrome://tracing
 	// and Perfetto.
 	Timeline string

@@ -209,7 +209,7 @@ func LeaderboardRun(ctx context.Context, l *Lab, benches []string) (*Leaderboard
 
 // leaderboardBenches is the experiment's workload subset: branchy, memory-
 // bound, and mixed behaviour, so every component axis has a workload that
-// exercises it. The full-suite championship is cmd/bench -leaderboard.
+// exercises it. The full-suite championship is RunLeaderboard(ctx, lab, nil).
 var leaderboardBenches = []string{"gcc", "mcf", "twolf", "crafty"}
 
 // Leaderboard runs the championship: every registered predictor x

@@ -38,6 +38,12 @@ func TestLeaderboardCombosCoverRegistries(t *testing.T) {
 	if !prefs[""] {
 		t.Error("the no-prefetch default is missing from the cross-product")
 	}
+	// The floor that makes a championship meaningful: every component axis
+	// offers a real choice.
+	if len(preds) < 3 || len(repls) < 2 || len(prefs) < 3 {
+		t.Errorf("cross-product too thin: %d predictors (want >= 3), %d replacement policies (want >= 2), %d prefetcher options (want >= 3)",
+			len(preds), len(repls), len(prefs))
+	}
 	want := len(branch.Registered()) * len(cache.ReplacerNames()) * (len(cache.PrefetcherNames()) + 1)
 	if len(combos) != want {
 		t.Errorf("got %d combos, want %d", len(combos), want)

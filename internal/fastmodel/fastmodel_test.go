@@ -108,6 +108,8 @@ func TestCalibrationGolden(t *testing.T) {
 			t.Fatalf("degenerate calibration row: %+v", r)
 		}
 	}
+	t.Logf("calibration over %d rows: mean |rel err| %.3f, max |rel err| %.3f, rank agreement %.3f",
+		len(cal.Rows), cal.MeanAbsRelError, cal.MaxAbsRelError, cal.RankAgreement)
 	if cal.MeanAbsRelError >= 0.7 {
 		t.Errorf("mean |rel error| %.3f exceeds calibrated envelope 0.7", cal.MeanAbsRelError)
 	}
