@@ -31,12 +31,16 @@ func benchmarkEngineRun(b *testing.B, bench, core string, singleStep bool) {
 	b.ReportMetric(float64(tr.Len()*b.N)/b.Elapsed().Seconds()/1e6, "Msim-inst/s")
 }
 
-// benchmarkEngineContest times one 2-way contest per iteration; with
-// record set, each iteration attaches a fresh observability recorder.
-func benchmarkEngineContest(b *testing.B, bench, a, c string, singleStep, record bool) {
+// benchmarkEngineContest times one contest of the named palette cores per
+// iteration; with record set, each iteration attaches a fresh
+// observability recorder.
+func benchmarkEngineContest(b *testing.B, bench string, cores []string, singleStep, record bool) {
 	b.Helper()
 	tr := MustGenerateTrace(bench, 100_000)
-	pair := []CoreConfig{MustPaletteCore(a), MustPaletteCore(c)}
+	cfgs := make([]CoreConfig, len(cores))
+	for i, name := range cores {
+		cfgs[i] = MustPaletteCore(name)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		opts := ContestOptions{SingleStep: singleStep}
@@ -45,7 +49,7 @@ func benchmarkEngineContest(b *testing.B, bench, a, c string, singleStep, record
 			rec = obs.NewRecorder(obs.Options{})
 			opts.Observer = rec
 		}
-		r, err := ContestRun(pair, tr, opts)
+		r, err := ContestRun(cfgs, tr, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -76,18 +80,31 @@ func BenchmarkEngineMixedSingleStep(b *testing.B) { benchmarkEngineRun(b, "gcc",
 func BenchmarkEngineCompute(b *testing.B)           { benchmarkEngineRun(b, "crafty", "crafty", false) }
 func BenchmarkEngineComputeSingleStep(b *testing.B) { benchmarkEngineRun(b, "crafty", "crafty", true) }
 
-// 2-way contested co-simulation with the heap scheduler.
+// 2-way contested co-simulation.
+var contest2 = []string{"twolf", "vpr"}
+
 func BenchmarkEngineContest(b *testing.B) {
-	benchmarkEngineContest(b, "twolf", "twolf", "vpr", false, false)
+	benchmarkEngineContest(b, "twolf", contest2, false, false)
 }
 func BenchmarkEngineContestSingleStep(b *testing.B) {
-	benchmarkEngineContest(b, "twolf", "twolf", "vpr", true, false)
+	benchmarkEngineContest(b, "twolf", contest2, true, false)
 }
 
 // The same contest with the observability recorder attached: against
 // BenchmarkEngineContest, the recorder-on cost.
 func BenchmarkEngineContestRecorded(b *testing.B) {
-	benchmarkEngineContest(b, "twolf", "twolf", "vpr", false, true)
+	benchmarkEngineContest(b, "twolf", contest2, false, true)
+}
+
+// 4-way contested co-simulation, the repository benchmark's widest
+// contest: every result-bus receiver hears three senders.
+var contest4 = []string{"gcc", "mcf", "bzip", "crafty"}
+
+func BenchmarkEngineContest4(b *testing.B) {
+	benchmarkEngineContest(b, "gcc", contest4, false, false)
+}
+func BenchmarkEngineContest4SingleStep(b *testing.B) {
+	benchmarkEngineContest(b, "gcc", contest4, true, false)
 }
 
 // BenchmarkTraceGeneration measures the synthetic workload generator.

@@ -34,6 +34,10 @@ type TAGE struct {
 	history uint64 // global history, newest outcome in bit 0
 	histMax int
 
+	// folds[i] holds table i's history folded to index and tag widths,
+	// updated incrementally on every history shift (see shift).
+	folds []tageFolds
+
 	// Cached lookup from the most recent Predict: Update re-uses it when
 	// the PC matches, so the provider/alternate chosen at predict time are
 	// the ones that get trained. Update invalidates it after shifting the
@@ -102,6 +106,15 @@ func NewTAGE(logBase, tables, logSize, tagBits, minHist, maxHist int) (*TAGE, er
 		histMax: maxHist,
 		tags:    make([]uint16, tables),
 		idxs:    make([]uint64, tables),
+		folds:   make([]tageFolds, tables),
+	}
+	for i, l := range t.hists {
+		t.folds[i] = tageFolds{
+			top:     uint(l - 1),
+			outIdx:  uint(l % logSize),
+			outTag:  uint(l % tagBits),
+			outTag2: uint(l % (tagBits - 1)),
+		}
 	}
 	for i := range t.tables {
 		t.tables[i] = make([]tageEntry, 1<<logSize)
@@ -143,8 +156,10 @@ func geometricHistories(n, min, max int) []int {
 }
 
 // fold compresses the low bits [0,length) of the global history into width
-// bits by XOR-folding successive width-bit chunks. With maxHist <= 64 the
-// history fits one word and folding is a short loop.
+// bits by XOR-folding successive width-bit chunks: bit j of the result is
+// the parity of the history bits at positions j, j+width, j+2·width, ...
+// It is the reference definition of the folded registers that shift keeps
+// incrementally.
 func fold(history uint64, length, width int) uint64 {
 	h := history & (^uint64(0) >> (64 - uint(length)))
 	var f uint64
@@ -156,13 +171,67 @@ func fold(history uint64, length, width int) uint64 {
 	return f
 }
 
+// tageFolds is one tagged table's global history folded three ways: to the
+// index width (idx) and to the two tag widths (tag, tag2), with the
+// positions at which the bit leaving the table's history window lands in
+// each (the history length mod the width) precomputed.
+type tageFolds struct {
+	idx, tag, tag2          uint64
+	top                     uint // history length - 1: the bit leaving the window
+	outIdx, outTag, outTag2 uint
+}
+
+// foldIn advances a folded register of the given width by one history
+// shift: rotate left by one within the width, XOR in the new outcome at
+// bit 0, and XOR out the bit leaving the window at position out.
+func foldIn(f uint64, width uint, in, gone uint64, out uint) uint64 {
+	f = (f<<1 | f>>(width-1)) & (1<<width - 1)
+	return f ^ in ^ gone<<out
+}
+
+// shift shifts the outcome into the global history and every table's
+// folded registers.
+func (t *TAGE) shift(taken bool) {
+	in := b2u(taken)
+	ib, tb := uint(t.logSize), uint(t.tagBits)
+	for i := range t.folds {
+		f := &t.folds[i]
+		gone := t.history >> f.top & 1
+		f.idx = foldIn(f.idx, ib, in, gone, f.outIdx)
+		f.tag = foldIn(f.tag, tb, in, gone, f.outTag)
+		f.tag2 = foldIn(f.tag2, tb-1, in, gone, f.outTag2)
+	}
+	t.history = t.history<<1 | in
+	if t.histMax < 64 {
+		t.history &= 1<<uint(t.histMax) - 1
+	}
+}
+
+// CheckFolds reports an error unless every folded history register equals
+// fold over the current global history — the invariant shift maintains.
+func (t *TAGE) CheckFolds() error {
+	for i, f := range t.folds {
+		l := t.hists[i]
+		for _, r := range []struct {
+			name  string
+			got   uint64
+			width int
+		}{{"index", f.idx, t.logSize}, {"tag", f.tag, t.tagBits}, {"tag2", f.tag2, t.tagBits - 1}} {
+			if want := fold(t.history, l, r.width); r.got != want {
+				return fmt.Errorf("branch: tage table %d (history %d) %s fold %#x, want %#x", i, l, r.name, r.got, want)
+			}
+		}
+	}
+	return nil
+}
+
 func (t *TAGE) tableIndex(pc uint64, i int) uint64 {
-	return ((pc >> 2) ^ (pc >> uint(2+t.logSize)) ^ fold(t.history, t.hists[i], t.logSize) ^ uint64(i)) & t.idxMask
+	return ((pc >> 2) ^ (pc >> uint(2+t.logSize)) ^ t.folds[i].idx ^ uint64(i)) & t.idxMask
 }
 
 func (t *TAGE) tableTag(pc uint64, i int) uint16 {
 	// A different folding width decorrelates the tag from the index.
-	return uint16(((pc >> 2) ^ fold(t.history, t.hists[i], t.tagBits) ^ fold(t.history, t.hists[i], t.tagBits-1)<<1) & t.tagMask)
+	return uint16(((pc >> 2) ^ t.folds[i].tag ^ t.folds[i].tag2<<1) & t.tagMask)
 }
 
 // lookup computes and caches the provider/alternate chain for pc.
@@ -274,10 +343,7 @@ func (t *TAGE) Update(pc uint64, taken bool) {
 		}
 	}
 
-	t.history = t.history<<1 | b2u(taken)
-	if t.histMax < 64 {
-		t.history &= 1<<uint(t.histMax) - 1
-	}
+	t.shift(taken)
 	t.lookValid = false
 
 	t.updates++
@@ -308,6 +374,10 @@ func (t *TAGE) Reset() {
 		}
 	}
 	t.history = 0
+	for i := range t.folds {
+		f := &t.folds[i]
+		f.idx, f.tag, f.tag2 = 0, 0, 0
+	}
 	t.lookValid = false
 	t.updates = 0
 	t.ageFlip = false

@@ -21,8 +21,6 @@
 package contest
 
 import (
-	"fmt"
-
 	"archcontest/internal/pipeline"
 	"archcontest/internal/ticks"
 )
@@ -86,10 +84,12 @@ type Options struct {
 	// MaxTimeNs aborts runs exceeding the bound (0 = a generous default
 	// derived from the trace length).
 	MaxTimeNs float64
-	// SingleStep forces the reference cycle-by-cycle scheduler instead of
-	// the event-driven one. The two produce bit-identical results (the
-	// golden-equivalence tests lock this); single-stepping exists as the
-	// reference semantics and for debugging.
+	// SingleStep forces the reference scheduler, which steps every cycle
+	// of every core in time order, instead of the event-driven one, which
+	// steps only the cycles pipeline.Core.NextEvent cannot prove dead. The
+	// two produce bit-identical results (the golden-equivalence tests lock
+	// this); single-stepping is the reference semantics and a debugging
+	// aid.
 	SingleStep bool
 	// Observer, if non-nil, attaches a verification observer to the system
 	// (see internal/invariant). It never alters the run's result and is
@@ -180,91 +180,76 @@ func (r Result) IPT() float64 {
 	return float64(r.Insts) / ns
 }
 
-// senderRing buffers the in-flight results of one remote core on their way
-// into (and inside) this core's result FIFO: index range [lo, hi) with the
-// arrival time of each. The pop-counter/fetch-counter protocol reduces to
-// index arithmetic because results arrive in retirement order.
-type senderRing struct {
-	arr  []ticks.Time
-	lo   int64 // oldest retained index (pop counter)
-	hi   int64 // one past the newest retained index
+// resultLog is one sending core's global result bus: the arrival time of
+// each result it has broadcast, indexed by instruction. Results leave in
+// retirement order, so every receiver's result FIFO for this sender is the
+// index range [pop, next) of the one shared log, where pop is the
+// receiver's pop counter. A non-saturated receiver never lags more than
+// MaxLag results behind, so a ring of at least MaxLag entries holds every
+// FIFO without aliasing.
+type resultLog struct {
+	arr  []ticks.Time // power-of-two ring
+	mask int64
 	next int64 // next index the sender will broadcast
 }
 
-func newSenderRing(capacity int) *senderRing {
-	return &senderRing{arr: make([]ticks.Time, capacity)}
-}
-
-// push records the arrival of result idx at time t. Results the receiver
-// has already consumed past are dropped (Scenario #1's discarded late
-// results). It reports false when the FIFO is full — the receiver is a
-// saturated lagger.
-func (s *senderRing) push(idx int64, t ticks.Time) bool {
-	if idx != s.next {
-		panic(fmt.Sprintf("contest: out-of-order GRB push %d, expected %d", idx, s.next))
+// newBus builds the global result buses of an n-core system with FIFO
+// capacity maxLag: one log per sending core, one feed per receiving core.
+func newBus(n, maxLag int) ([]resultLog, []feed) {
+	size := 1
+	for size < maxLag {
+		size <<= 1
 	}
-	s.next++
-	if idx < s.lo {
-		return true // receiver already fetched past this result
+	logs := make([]resultLog, n)
+	feeds := make([]feed, n)
+	for i := range logs {
+		logs[i] = resultLog{arr: make([]ticks.Time, size), mask: int64(size - 1)}
+		feeds[i] = feed{logs: logs, self: i, wakeOn: pipeline.NoSeq}
 	}
-	if idx-s.lo >= int64(len(s.arr)) {
-		return false
-	}
-	s.arr[idx%int64(len(s.arr))] = t
-	s.hi = idx + 1
-	return true
-}
-
-func (s *senderRing) available(idx int64, t ticks.Time) bool {
-	return idx >= s.lo && idx < s.hi && s.arr[idx%int64(len(s.arr))] <= t
-}
-
-// nextArrival reports the known arrival time of result idx, if the sender
-// has already broadcast it (the result is retained, possibly still in
-// flight).
-func (s *senderRing) nextArrival(idx int64) (ticks.Time, bool) {
-	if idx < s.lo || idx >= s.hi {
-		return 0, false
-	}
-	return s.arr[idx%int64(len(s.arr))], true
-}
-
-func (s *senderRing) consumeThrough(idx int64) {
-	if idx+1 > s.lo {
-		s.lo = idx + 1
-	}
-	if s.lo > s.hi {
-		s.hi = s.lo
-	}
+	return logs, feeds
 }
 
 // feed is one core's view of the other cores' result buses; it implements
-// pipeline.ResultFeed.
+// pipeline.ResultFeed. Results below the pop counter have been consumed or
+// discarded and are invisible.
 type feed struct {
-	senders  []*senderRing
-	disabled bool
+	logs     []resultLog // every core's log, shared; the receiver's own is skipped
+	self     int
+	pop      int64
+	disabled bool // saturated lagger: contesting is off for this core
+	// wakeOn is the one broadcast index that can wake this core early
+	// under the event-driven scheduler: its pending mispredicted branch
+	// (pipeline.NoSeq when none, and always under single-stepping).
+	wakeOn int64
 }
 
 func (f *feed) ResultAvailable(idx int64, t ticks.Time) bool {
-	if f.disabled {
+	if f.disabled || idx < f.pop {
 		return false
 	}
-	for _, s := range f.senders {
-		if s.available(idx, t) {
+	for j := range f.logs {
+		l := &f.logs[j]
+		if j != f.self && idx < l.next && l.arr[idx&l.mask] <= t {
 			return true
 		}
 	}
 	return false
 }
 
+// NextArrival reports the earliest arrival of result idx over all senders
+// that have broadcast it (it may still be in flight).
 func (f *feed) NextArrival(idx int64) (ticks.Time, bool) {
-	if f.disabled {
+	if f.disabled || idx < f.pop {
 		return 0, false
 	}
 	var best ticks.Time
 	found := false
-	for _, s := range f.senders {
-		if at, ok := s.nextArrival(idx); ok && (!found || at < best) {
+	for j := range f.logs {
+		l := &f.logs[j]
+		if j == f.self || idx >= l.next {
+			continue
+		}
+		if at := l.arr[idx&l.mask]; !found || at < best {
 			best, found = at, true
 		}
 	}
@@ -272,8 +257,8 @@ func (f *feed) NextArrival(idx int64) (ticks.Time, bool) {
 }
 
 func (f *feed) ConsumeThrough(idx int64) {
-	for _, s := range f.senders {
-		s.consumeThrough(idx)
+	if idx >= f.pop {
+		f.pop = idx + 1
 	}
 }
 

@@ -62,6 +62,9 @@ func TestNewSystemRejects(t *testing.T) {
 	if _, err := NewSystem(pair, tr, Options{LatencyNs: 0.001}); err == nil {
 		t.Error("sub-tick latency accepted")
 	}
+	if _, err := NewSystem(pair, tr, Options{MaxLag: -1}); err == nil {
+		t.Error("negative MaxLag accepted")
+	}
 	bad := pair
 	bad[0].Width = 0
 	if _, err := NewSystem(bad, tr, Options{}); err == nil {
@@ -258,48 +261,6 @@ func countStores(tr *trace.Trace) int64 {
 		}
 	}
 	return n
-}
-
-func TestSenderRing(t *testing.T) {
-	r := newSenderRing(4)
-	if !r.push(0, 100) || !r.push(1, 110) || !r.push(2, 120) || !r.push(3, 130) {
-		t.Fatal("pushes into empty ring failed")
-	}
-	if r.push(4, 140) {
-		t.Error("push into full ring succeeded")
-	}
-	if !r.available(0, 100) {
-		t.Error("arrived result unavailable")
-	}
-	if r.available(0, 99) {
-		t.Error("future result available")
-	}
-	if r.available(4, 1000) {
-		t.Error("unpushed result available")
-	}
-	r.consumeThrough(1)
-	if r.available(1, 1000) {
-		t.Error("consumed result still available")
-	}
-	// The sender's sequence advances even on a refused push (a refusal
-	// saturates the receiver in the real system); the next broadcast index
-	// is 5, and after the consume there is room for it.
-	if !r.push(5, 150) {
-		t.Error("push after consume failed")
-	}
-	if !r.available(5, 150) {
-		t.Error("pushed result unavailable")
-	}
-}
-
-func TestSenderRingOutOfOrderPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	r := newSenderRing(4)
-	r.push(1, 100)
 }
 
 func TestStoreQueueUnit(t *testing.T) {

@@ -103,7 +103,7 @@ func (x *exceptionCoordinator) gate(core int, idx int64, at ticks.Time) bool {
 func (x *exceptionCoordinator) coldRefork() {
 	designated := x.sys.leader
 	for i, c := range x.sys.cores {
-		if i == designated || x.sys.saturated[i] {
+		if i == designated || x.sys.IsSaturated(i) {
 			continue
 		}
 		if x.coldPred {
@@ -119,7 +119,7 @@ func (x *exceptionCoordinator) coldRefork() {
 // everything before idx — i.e. the semaphore has reached the active count.
 func (x *exceptionCoordinator) allReached(idx int64) bool {
 	for i, c := range x.sys.cores {
-		if x.sys.saturated[i] {
+		if x.sys.IsSaturated(i) {
 			continue
 		}
 		if c.Retired() < idx {
@@ -132,7 +132,7 @@ func (x *exceptionCoordinator) allReached(idx int64) bool {
 func (x *exceptionCoordinator) activeCores() int {
 	n := 0
 	for i := range x.sys.cores {
-		if !x.sys.saturated[i] {
+		if !x.sys.IsSaturated(i) {
 			n++
 		}
 	}

@@ -14,24 +14,25 @@ import (
 // System is an N-way contesting multi-core executing one trace.
 type System struct {
 	cores   []*pipeline.Core
-	feeds   []*feed
+	logs    []resultLog // one global result bus per sending core
+	feeds   []feed      // one pop counter per receiving core
 	queue   *StoreQueue
 	latency ticks.Duration
 	opts    Options
 	tr      *trace.Trace
 
-	saturated   []bool
 	leadChanges int64
 	leader      int
 	exc         *exceptionCoordinator
 
-	// bounds, allocated only by the event-driven scheduler, holds per-core
-	// fast-forward bounds: every cycle of core i with a clock edge strictly
-	// before bounds[i] is known to be dead. A retirement anywhere in the
-	// system clamps every other core's bound to the retirement time, since
-	// its side effects (result arrival, store-queue drain, saturation,
-	// exception rendezvous) can wake a core no earlier than that.
-	bounds []ticks.Time
+	// wake and live, allocated only by the event-driven scheduler, hold
+	// each core's next scheduled cycle and that cycle's clock edge: every
+	// cycle of core i before wake[i] is known to be dead. A core's own
+	// step sets them from its NextEvent; another core's retirement pulls
+	// them earlier only when it broadcasts the result that can resolve the
+	// core's pending mispredicted branch (see broadcast).
+	wake []int64
+	live []ticks.Time
 }
 
 // NewSystem builds a contesting system over the given core configurations.
@@ -57,24 +58,19 @@ func NewSystem(cfgs []config.CoreConfig, tr *trace.Trace, opts Options) (*System
 	if opts.LeadChangeWarmupNs < 0 {
 		return nil, fmt.Errorf("contest: negative lead-change warm-up %gns", opts.LeadChangeWarmupNs)
 	}
+	if opts.MaxLag < 1 {
+		return nil, fmt.Errorf("contest: MaxLag %d below one result", opts.MaxLag)
+	}
 
 	n := len(cfgs)
 	s := &System{
-		latency:   lat,
-		opts:      opts,
-		tr:        tr,
-		queue:     NewStoreQueue(n, opts.StoreQueueCap),
-		saturated: make([]bool, n),
-		feeds:     make([]*feed, n),
-		cores:     make([]*pipeline.Core, n),
+		latency: lat,
+		opts:    opts,
+		tr:      tr,
+		queue:   NewStoreQueue(n, opts.StoreQueueCap),
+		cores:   make([]*pipeline.Core, n),
 	}
-	for i := range s.feeds {
-		f := &feed{senders: make([]*senderRing, 0, n-1)}
-		for j := 0; j < n-1; j++ {
-			f.senders = append(f.senders, newSenderRing(opts.MaxLag))
-		}
-		s.feeds[i] = f
-	}
+	s.logs, s.feeds = newBus(n, opts.MaxLag)
 	if opts.ExceptionEvery > 0 {
 		s.exc = &exceptionCoordinator{
 			sys:      s,
@@ -94,7 +90,7 @@ func NewSystem(cfgs []config.CoreConfig, tr *trace.Trace, opts Options) (*System
 		popts := pipeline.Options{
 			WritePolicy:     cache.WriteThrough,
 			RegionSize:      opts.RegionSize,
-			Feed:            s.feeds[i],
+			Feed:            &s.feeds[i],
 			StoreSink:       coreSink{q: s.queue, core: i},
 			OnRetire:        func(idx int64, at ticks.Time) { s.broadcast(i, idx, at) },
 			NoTrainOnInject: opts.NoTrainOnInject,
@@ -137,65 +133,74 @@ func (s *System) Leader() int { return s.leader }
 func (s *System) LeadChanges() int64 { return s.leadChanges }
 
 // IsSaturated reports whether core i has been declared a saturated lagger.
-func (s *System) IsSaturated(i int) bool { return s.saturated[i] }
+func (s *System) IsSaturated(i int) bool { return s.feeds[i].disabled }
 
 // Queue returns the synchronizing store queue, for verification observers
 // (read-only, except for installing the Merged callback before the run).
 func (s *System) Queue() *StoreQueue { return s.queue }
 
 // FeedState reports the state of receiver's result FIFO for sender: the
-// pop counter (lo), one past the newest retained result (hi), and the next
-// index the sender will broadcast. ok is false when receiver == sender.
-func (s *System) FeedState(receiver, sender int) (lo, hi, next int64, ok bool) {
+// receiver's pop counter and the next index the sender will broadcast; the
+// FIFO holds [pop, next). ok is false when receiver == sender.
+func (s *System) FeedState(receiver, sender int) (pop, next int64, ok bool) {
 	if receiver == sender {
-		return 0, 0, 0, false
+		return 0, 0, false
 	}
-	ring := s.feeds[receiver].senders[senderSlot(receiver, sender)]
-	return ring.lo, ring.hi, ring.next, true
-}
-
-// senderSlot maps sender `from` into receiver `to`'s ring list (receivers
-// hold one ring per remote core, ordered by core index with self skipped).
-func senderSlot(to, from int) int {
-	if from < to {
-		return from
-	}
-	return from - 1
+	return s.feeds[receiver].pop, s.logs[sender].next, true
 }
 
 // broadcast is core `from`'s global result bus: the retired result of
 // instruction idx reaches every other core after the propagation latency.
-// A receiver whose FIFO overflows is a saturated lagger: contesting is
-// disabled for it and its stores stop gating the store queue.
+// A receiver already lagging MaxLag results behind has a full FIFO: it is a
+// saturated lagger, contesting is disabled for it, and its stores stop
+// gating the store queue.
 func (s *System) broadcast(from int, idx int64, at ticks.Time) {
+	l := &s.logs[from]
+	if idx != l.next {
+		panic(fmt.Sprintf("contest: out-of-order GRB broadcast %d from core %d, expected %d", idx, from, l.next))
+	}
 	arrival := at.Add(s.latency)
-	for to := range s.cores {
-		if to == from || s.saturated[to] || s.feeds[to].disabled {
+	l.arr[idx&l.mask] = arrival
+	l.next++
+	maxLag := int64(s.opts.MaxLag)
+	for to := range s.feeds {
+		f := &s.feeds[to]
+		if to == from || f.disabled {
 			continue
 		}
-		ring := s.feeds[to].senders[senderSlot(to, from)]
-		// Drop anything the receiver has already fetched past; the receiver
-		// also consumes on its own cycle, but a slow receiver's view must
-		// not overflow on what it would discard anyway.
-		if !ring.push(idx, arrival) {
+		if idx-f.pop >= maxLag {
 			s.declareSaturated(to)
-			continue
-		}
-		// A receiver fast-forwarding past the arrival would miss the
-		// injection or early branch resolution this result can trigger;
-		// clamp its bound to the arrival edge. The queue-drain, saturation,
-		// and rendezvous side effects of a retirement need no clamp: a core
-		// blocked on them presents itself every cycle (extStalled), and an
-		// unblocked core consults them exactly at its own retire candidate,
-		// which its bound already includes.
-		if s.bounds != nil && s.bounds[to] > arrival {
-			s.bounds[to] = arrival
+		} else if idx == f.wakeOn {
+			s.wakeAt(to, arrival)
 		}
 	}
 }
 
+// wakeAt pulls idle core i's next scheduled cycle in to its first clock
+// edge at or after t. broadcast calls it for the one result that can wake
+// an idle core early: the outcome of its pending mispredicted branch,
+// which fetch resolves on arrival (the Figure 5 corner case). Every other
+// side effect of a retirement needs no wake-up. A fetch that can move
+// never leaves its core idle, and any other fetch waits on the core's own
+// retirements; the store queue, saturation and the exception rendezvous
+// are consulted only at a retire candidate, which NextEvent already
+// bounds, and a core they block reports no bound and steps every cycle.
+func (s *System) wakeAt(i int, t ticks.Time) {
+	c := s.cores[i]
+	clk := c.Clock()
+	cc := clk.CycleAt(t)
+	if clk.TimeOfCycle(cc) < t {
+		cc++
+	}
+	if cc < c.Cycle() {
+		cc = c.Cycle()
+	}
+	if cc < s.wake[i] {
+		s.wake[i], s.live[i] = cc, clk.TimeOfCycle(cc)
+	}
+}
+
 func (s *System) declareSaturated(core int) {
-	s.saturated[core] = true
 	s.feeds[core].disabled = true
 	s.queue.DisableCore(core)
 }
@@ -266,27 +271,28 @@ func (s *System) runSingleStep(ctx context.Context) (Result, error) {
 	}
 }
 
-// runEventDriven is the event-driven scheduler. Each loop iteration is
-// either a dead-cycle fast-forward or one core cycle.
+// runEventDriven is the event-driven scheduler: the single-step schedule
+// with every provably dead cycle deleted. Each iteration steps the core
+// whose next scheduled cycle has the earliest clock edge (ties to the lower
+// core index, the reference scheduler's order), after jumping it over the
+// dead cycles before that cycle. Every other core's next state change lies
+// at or beyond that edge, since wakeAt pulls a core in whenever another
+// core's retirement could wake it sooner.
 //
-// The scheduling rule: cores live in an indexed min-heap keyed on each
-// core's live edge — the later of its current clock edge and its
-// fast-forward bound. Popping the heap minimum guarantees that every other
-// core's next state change lies at or beyond that time, so a popped core
-// whose bound is ahead of its clock may jump straight to the bound: all the
-// skipped cycles are dead, and nothing another core does in the meantime
-// (clamped into the bound by broadcast) can wake it earlier.
-//
-// The execution it produces is the single-step schedule with dead cycles
-// deleted: every progressing step of every core happens at the same cycle,
-// in the same global order, with the same inputs, so all reported numbers —
-// including each core's dead-cycle-inflated Stats.Cycles, reconstructed at
-// the end by settle — are bit-identical to runSingleStep. A system runs
-// once: the scheduler state it allocates here is not reset.
+// Every progressing step of every core therefore happens at the same
+// cycle, in the same global order, with the same inputs, so all reported
+// numbers — including each core's dead-cycle-inflated Stats.Cycles,
+// reconstructed at the end by settle — are bit-identical to runSingleStep.
+// A system runs once: the scheduler state it allocates here is not reset.
 func (s *System) runEventDriven(ctx context.Context) (Result, error) {
-	s.bounds = make([]ticks.Time, len(s.cores))
-	h := newCoreHeap(s)
+	n := len(s.cores)
+	s.wake = make([]int64, n)
+	s.live = make([]ticks.Time, n)
+	for i, c := range s.cores {
+		s.wake[i], s.live[i] = c.Cycle(), c.Now()
+	}
 	maxTime := ticks.Time(ticks.FromNanoseconds(s.opts.MaxTimeNs))
+	obs := s.opts.Observer
 	done := ctx.Done()
 	var poll int
 	for {
@@ -300,50 +306,46 @@ func (s *System) runEventDriven(ctx context.Context) (Result, error) {
 				}
 			}
 		}
-		i := h.min()
-		c := s.cores[i]
-		if c.Now() > maxTime {
+		// A linear scan: contests have at most eight cores.
+		i, t := 0, s.live[0]
+		for j := 1; j < n; j++ {
+			if lj := s.live[j]; lj < t {
+				i, t = j, lj
+			}
+		}
+		if t > maxTime {
 			return Result{}, fmt.Errorf("contest: %s exceeded %gns without finishing", s.tr.Name(), s.opts.MaxTimeNs)
 		}
-		if b := s.bounds[i]; b > c.Now() {
-			// Fast-forward over the dead cycles to the first edge at or
-			// past the bound.
-			clk := c.Clock()
-			cc := clk.CycleAt(b)
-			if clk.TimeOfCycle(cc) < b {
-				cc++
-			}
-			c.SkipTo(cc)
-			s.bounds[i] = 0
-			h.fix()
-			continue
-		}
+		c := s.cores[i]
+		c.SkipTo(s.wake[i])
 		c.Step()
 		if ret := c.Retired(); ret > s.cores[s.leader].Retired() && i != s.leader {
 			s.leader = i
 			s.leadChanges++
 		}
-		if s.opts.Observer != nil {
-			s.opts.Observer.AfterStep(s, i)
+		if obs != nil {
+			obs.AfterStep(s, i)
 		}
 		if c.Done() {
 			s.settle(i)
 			return s.result(i), nil
 		}
-		if c.Progressed() {
-			s.bounds[i] = 0
-		} else if next, ok := c.NextEvent(); ok {
-			s.bounds[i] = c.Clock().TimeOfCycle(next)
-		} else {
-			// Blocked on the store queue or the exception rendezvous:
-			// their state changes on other cores' retirements in ways the
-			// core cannot bound, and the gate consult itself mutates the
-			// coordinator, so the core must present itself every cycle.
-			s.bounds[i] = 0
-		}
-		// The step may have broadcast retirements that clamped any bound.
-		h.fix()
+		s.reschedule(i)
 	}
+}
+
+// reschedule applies the shared skip rule to core i after its step. A core
+// the rule cannot bound (blocked on the store queue or the exception
+// rendezvous, whose state changes on other cores' retirements and whose
+// gate consult itself mutates the coordinator) steps again next cycle.
+func (s *System) reschedule(i int) {
+	c := s.cores[i]
+	next, ok := c.NextEvent()
+	if !ok {
+		next = c.Cycle()
+	}
+	s.wake[i], s.live[i] = next, c.Clock().TimeOfCycle(next)
+	s.feeds[i].wakeOn = c.Inspect().PendingBranch()
 }
 
 // settle reconstructs the losing cores' cycle counters at the moment the
@@ -379,7 +381,7 @@ func (s *System) result(winner int) Result {
 		Time:        s.cores[winner].Stats().FinishTime,
 		Winner:      winner,
 		LeadChanges: s.leadChanges,
-		Saturated:   append([]bool(nil), s.saturated...),
+		Saturated:   make([]bool, len(s.cores)),
 		Regions:     s.cores[winner].RegionTimes(),
 	}
 	if s.exc != nil {
@@ -392,7 +394,8 @@ func (s *System) result(winner int) Result {
 		res.StateTransfer += st
 		res.Time = res.Time.Add(st)
 	}
-	for _, c := range s.cores {
+	for i, c := range s.cores {
+		res.Saturated[i] = s.IsSaturated(i)
 		res.Cores = append(res.Cores, c.Config().Name)
 		res.PerCore = append(res.PerCore, c.Stats())
 	}

@@ -6,11 +6,11 @@ package invariant
 //
 //   - bounded lagging distance: for every non-saturated follower and every
 //     sender, the sender's broadcast counter never runs more than MaxLag
-//     results ahead of the follower's pop counter, and the result FIFO
-//     retention never exceeds its capacity (paper §4.1.4);
-//   - feed bookkeeping: each sender ring's broadcast counter equals that
-//     sender's retired count, and the pop counter never passes the
-//     receiver's fetch counter;
+//     results ahead of the follower's pop counter, so the result FIFO
+//     never holds more than its capacity (paper §4.1.4);
+//   - feed bookkeeping: each sender's broadcast counter equals its retired
+//     count, and the pop counter never passes the receiver's fetch
+//     counter;
 //   - GRB-consumed results match the oracle: a core may complete a fetched
 //     instruction from the feed only if some other core retired exactly
 //     that instruction at least one propagation latency earlier — and the
@@ -241,21 +241,18 @@ func (o *SystemObserver) AfterStep(sys *contest.System, core int) {
 		}
 		fetch := sys.Core(recv).FetchIndex()
 		for snd := 0; snd < n; snd++ {
-			lo, hi, next, ok := sys.FeedState(recv, snd)
+			pop, next, ok := sys.FeedState(recv, snd)
 			if !ok {
 				continue
 			}
 			if next != o.retired[snd] {
 				o.violate("receiver %d has seen %d broadcasts from %d, which retired %d", recv, next, snd, o.retired[snd])
 			}
-			if hi-lo > o.maxLag {
-				o.violate("receiver %d retains %d results from %d, FIFO capacity %d", recv, hi-lo, snd, o.maxLag)
+			if lag := next - pop; lag > o.maxLag {
+				o.violate("receiver %d lags %d results behind %d, FIFO capacity %d", recv, lag, snd, o.maxLag)
 			}
-			if lag := next - lo; lag > o.maxLag {
-				o.violate("receiver %d lags %d results behind %d, bound %d", recv, lag, snd, o.maxLag)
-			}
-			if lo > fetch {
-				o.violate("receiver %d consumed through %d past its fetch counter %d", recv, lo, fetch)
+			if pop > fetch {
+				o.violate("receiver %d consumed through %d past its fetch counter %d", recv, pop, fetch)
 			}
 		}
 	}

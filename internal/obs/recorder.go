@@ -122,11 +122,13 @@ func (r *Recorder) AfterStep(sys *contest.System, core int) {
 	}
 	for i := range r.saturated {
 		if !r.saturated[i] && sys.IsSaturated(i) {
+			// The FIFO overflowed on one of the stepped core's broadcasts,
+			// at its latest retirement; its clock has already moved on.
 			r.saturated[i] = true
 			r.ring.append(Event{
 				Kind: KindSaturated,
 				Core: int32(i),
-				Time: sys.Core(core).Now(),
+				Time: r.lastRetire[core],
 				Seq:  -1,
 			})
 		}

@@ -25,10 +25,12 @@
 // semantics. The engine is additionally event-driven: a cycle in which
 // nothing retires, issues, dispatches, or fetches ("a dead cycle") leaves
 // every piece of core state untouched, so a run may jump the cycle counter
-// straight to the next cycle at which progress is possible. NextEvent
-// computes that cycle from the in-flight completion times, the scheduled
-// wake-ups, the front-end arrival, the pending-branch resolution, and the
-// feed's NextArrival hint; Advance composes Step with the jump. Because
+// straight to the next cycle at which progress is possible. NextEvent, the
+// one skip rule, computes that cycle after any Step from the front end's
+// readiness, the in-flight completion times, the scheduled wake-ups, the
+// front-end arrival, the pending-branch resolution, and the feed's
+// NextArrival hint; Advance composes Step with the jump, and a contesting
+// system applies the same rule to every core it steps. Because
 // only provably-dead cycles are skipped, every counter — including
 // Stats.Cycles, which counts skipped cycles exactly as if they had been
 // stepped — is bit-identical to single-cycle stepping.
@@ -535,35 +537,14 @@ func (c *Core) SkipTo(cycle int64) {
 }
 
 // Advance is the event-driven replacement for Step: it executes one cycle
-// and fast-forwards the cycle counter over any dead cycles that follow, to
-// the next cycle at which progress is possible. When the core is blocked on
-// a condition it cannot bound locally (a retire gate or store sink), it
-// degrades to single-cycle stepping; contested runs bound such cores
-// through the system scheduler instead.
-//
-// The fast-forward also runs after a progressing cycle, not only after a
-// dead one, so a stall never costs an extra dead Step to detect: the next
-// cycle is provably live whenever the front end can still move (fetch has
-// window space, or a deliverable instruction can dispatch), and in exactly
-// those cases the skip is refused. Otherwise every potential progress
-// source is an event NextEvent bounds — completions, wake-ups, front-end
-// arrivals, branch redirects — or one NextEvent conservatively refuses to
-// skip over (a committable head, a live ready entry), so the cycles up to
-// the bound are dead no matter whether the current cycle progressed.
+// and fast-forwards the cycle counter over the dead cycles NextEvent proves
+// follow it. When the core is blocked on a condition it cannot bound
+// locally (a retire gate or store sink), it degrades to single-cycle
+// stepping; contested runs apply the same rule through the system
+// scheduler.
 func (c *Core) Advance() {
 	c.Step()
-	if c.Done() {
-		return
-	}
-	if c.progressed {
-		if c.pendingBranch == noSeq && c.tailSeq < c.fetchEnd && c.tailSeq-c.headSeq < c.windowCap {
-			return // fetch moves next cycle
-		}
-		if c.dispSeq < c.tailSeq && c.dispatchReady[c.dispSeq&c.ringMask] <= c.cycle && !c.dispatchBlocked() {
-			return // dispatch moves next cycle
-		}
-	}
-	if next, ok := c.NextEvent(); ok && next > c.cycle {
+	if next, ok := c.NextEvent(); ok {
 		c.SkipTo(next)
 	}
 }
@@ -584,13 +565,24 @@ func (c *Core) dispatchBlocked() bool {
 	return fl&(flagInjected|flagCompleted) == 0 && c.iqCount >= c.iqSize
 }
 
-// NextEvent reports a conservative lower bound on the next cycle at which
-// the core can make progress, assuming no new external input arrives in the
-// meantime. It should be consulted after a Step that reported no progress.
-// ok is false when the core is stalled on a condition it cannot bound
-// locally — a refusing retire gate or store sink, whose state is owned by
-// the contesting system — in which case the caller must step cycle-by-cycle
-// or bound the skip with system-level knowledge.
+// NextEvent is the engine's one skip rule. Consulted after any Step,
+// progressing or not, it reports a conservative lower bound on the next
+// cycle at which the core can make progress, assuming no new external input
+// arrives in the meantime: every cycle before the bound is dead. ok is
+// false when the core is stalled on a condition it cannot bound locally — a
+// refusing retire gate or store sink, whose state is owned by the
+// contesting system — in which case the caller must step it next cycle.
+//
+// Because the rule also runs after a progressing cycle, a stall never
+// costs an extra dead Step to detect. The next cycle is provably live
+// whenever the front end can still move (fetch has window space, or a
+// deliverable instruction can dispatch), and in exactly those cases the
+// bound is the current cycle. Otherwise every potential progress source is
+// an event bounded below — completions, wake-ups, front-end arrivals,
+// branch redirects, the feed's arrival hint for the pending branch — or
+// one the rule conservatively refuses to skip over (a committable head, a
+// live ready entry), so the cycles up to the bound are dead no matter
+// whether the current cycle progressed.
 func (c *Core) NextEvent() (cycle int64, ok bool) {
 	now := c.cycle
 	if c.Done() {
@@ -598,6 +590,14 @@ func (c *Core) NextEvent() (cycle int64, ok bool) {
 	}
 	if c.extStalled {
 		return now, false
+	}
+	if c.progressed {
+		if c.pendingBranch == noSeq && c.tailSeq < c.fetchEnd && c.tailSeq-c.headSeq < c.windowCap {
+			return now, true // fetch moves next cycle
+		}
+		if c.dispSeq < c.tailSeq && c.dispatchReady[c.dispSeq&c.ringMask] <= now && !c.dispatchBlocked() {
+			return now, true // dispatch moves next cycle
+		}
 	}
 	next := int64(math.MaxInt64)
 

@@ -3,10 +3,11 @@ package archcontest
 // Golden-equivalence tests for the observability layer: a run with a
 // recorder attached must produce the bit-identical Result of the same run
 // with no recorder — the recorder reads, never steers. The grids mirror
-// golden_test.go (5 benches × 8 cores stand-alone, 6 option-variant pairs
+// golden_test.go (5 benches × 8 cores stand-alone, the goldenContests legs
 // × 4 benches contested), so every engine behaviour the golden suite
 // covers — high latency, both exception-handler styles, saturation,
-// store-queue backpressure — is also exercised with recording on.
+// store-queue backpressure, 3- and 4-way result buses — is also exercised
+// with recording on.
 
 import (
 	"reflect"
@@ -43,43 +44,31 @@ func TestRecorderDetachedEquivalenceSingleCore(t *testing.T) {
 }
 
 func TestRecorderDetachedEquivalenceContested(t *testing.T) {
-	pairs := []struct {
-		a, b string
-		opts ContestOptions
-	}{
-		{"gcc", "mcf", ContestOptions{}},
-		{"bzip", "crafty", ContestOptions{LatencyNs: 5}},
-		{"twolf", "vpr", ContestOptions{ExceptionEvery: 512}},
-		{"gzip", "perl", ContestOptions{MaxLag: 64}},
-		{"gap", "vortex", ContestOptions{ExceptionEvery: 768, ExceptionKillRefork: true}},
-		{"mcf", "parser", ContestOptions{StoreQueueCap: 8}},
-	}
-	benches := []string{"gcc", "mcf", "twolf", "gzip"}
-	for _, p := range pairs {
-		cfgs := []CoreConfig{MustPaletteCore(p.a), MustPaletteCore(p.b)}
-		for _, b := range benches {
+	for _, g := range goldenContests {
+		cfgs := g.configs()
+		for _, b := range goldenContestBenches {
 			tr := MustGenerateTrace(b, goldenInsts)
-			bareOpts := p.opts
+			bareOpts := g.opts
 			bareOpts.RegionSize = 20
 			bare, err := ContestRun(cfgs, tr, bareOpts)
 			if err != nil {
-				t.Fatalf("%s vs %s on %s: %v", p.a, p.b, b, err)
+				t.Fatalf("%s: %v", g.name(b), err)
 			}
 			rec := obs.NewRecorder(obs.Options{})
-			recOpts := p.opts
+			recOpts := g.opts
 			recOpts.RegionSize = 20
 			recOpts.Observer = rec
 			recorded, err := ContestRun(cfgs, tr, recOpts)
 			if err != nil {
-				t.Fatalf("%s vs %s on %s (recorded): %v", p.a, p.b, b, err)
+				t.Fatalf("%s (recorded): %v", g.name(b), err)
 			}
 			if !reflect.DeepEqual(bare, recorded) {
-				t.Errorf("%s vs %s on %s: recorder changed the result\nbare:     %+v\nrecorded: %+v", p.a, p.b, b, bare, recorded)
+				t.Errorf("%s: recorder changed the result\nbare:     %+v\nrecorded: %+v", g.name(b), bare, recorded)
 			}
 			rec.FinishContest(recorded)
 			if rec.LeadChanges() != recorded.LeadChanges {
-				t.Errorf("%s vs %s on %s: recorder saw %d lead changes, contest reports %d",
-					p.a, p.b, b, rec.LeadChanges(), recorded.LeadChanges)
+				t.Errorf("%s: recorder saw %d lead changes, contest reports %d",
+					g.name(b), rec.LeadChanges(), recorded.LeadChanges)
 			}
 		}
 	}
