@@ -115,7 +115,7 @@ func decodeConfig(c *cursor, tag byte) config.CoreConfig {
 	kind, ga, gb := c.byte(), c.byte(), c.byte()
 	switch kind % 4 {
 	case 0:
-		// Keep the palette's gshare — the devirtualised fast path.
+		// Keep the palette's gshare.
 	case 1:
 		cfg.Predictor = branch.Config{Kind: "bimodal", LogSize: 6 + int(ga)%8}
 	case 2:

@@ -14,8 +14,8 @@ import (
 	"testing"
 
 	"archcontest/internal/contest"
+	"archcontest/internal/experiments"
 	"archcontest/internal/invariant"
-	"archcontest/internal/resultcache"
 	"archcontest/internal/sim"
 )
 
@@ -112,12 +112,8 @@ func FuzzResultCacheKey(f *testing.F) {
 		tr, cfgs, opts := decodeContest(data)
 		cfg := cfgs[0]
 
-		runKey := func(ro sim.RunOptions) string {
-			return resultcache.Key("run", sim.EngineVersion, tr.Fingerprint(), tr.Name(), tr.Len(), cfg, ro)
-		}
-		contestKey := func(co contest.Options) string {
-			return resultcache.Key("contest", sim.EngineVersion, tr.Fingerprint(), tr.Name(), tr.Len(), cfgs, co)
-		}
+		runKey := func(ro sim.RunOptions) string { return experiments.RunKey(tr, cfg, ro) }
+		contestKey := func(co contest.Options) string { return experiments.ContestKey(tr, cfgs, co) }
 
 		// Determinism.
 		if runKey(sim.RunOptions{}) != runKey(sim.RunOptions{}) {
@@ -138,6 +134,14 @@ func FuzzResultCacheKey(f *testing.F) {
 		vopts.Observer = invariant.NewSystemObserver(tr, invariant.Options{})
 		if contestKey(vopts) != contestKey(opts) {
 			t.Error("contest key sees the attached observer")
+		}
+
+		// The default latency fills an unset one: the engine runs both
+		// alike, so they must share one cache entry.
+		unset, named := opts, opts
+		unset.LatencyNs, named.LatencyNs = 0, 1
+		if contestKey(unset) != contestKey(named) {
+			t.Error("contest key splits an unset latency from the default one")
 		}
 
 		// Sensitivity: every decoded dimension must move the key.
@@ -167,12 +171,12 @@ func FuzzResultCacheKey(f *testing.F) {
 
 		wider := cfg
 		wider.Width++
-		if k := resultcache.Key("run", sim.EngineVersion, tr.Fingerprint(), tr.Name(), tr.Len(), wider, sim.RunOptions{}); k == runKey(sim.RunOptions{}) {
+		if experiments.RunKey(tr, wider, sim.RunOptions{}) == runKey(sim.RunOptions{}) {
 			t.Error("run key blind to the configuration")
 		}
 		if tr.Len() > 1 {
 			short := tr.Prefix(tr.Len() - 1)
-			if k := resultcache.Key("run", sim.EngineVersion, short.Fingerprint(), short.Name(), short.Len(), cfg, sim.RunOptions{}); k == runKey(sim.RunOptions{}) {
+			if experiments.RunKey(short, cfg, sim.RunOptions{}) == runKey(sim.RunOptions{}) {
 				t.Error("run key blind to the trace")
 			}
 		}

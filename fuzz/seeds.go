@@ -41,8 +41,8 @@ var (
 	midCore  = []byte{4, 1, 2, 1, 2, 1, 0, 4, 80, 2}  // 2-wide, ROB 64, 0.5ns
 	slowCore = []byte{1, 0, 1, 1, 1, 2, 3, 8, 250, 4} // scalar, ROB 32, 1ns, slow memory
 	// Predictor-diverse cores: fastCore's structure with a decoded TAGE,
-	// midCore's with a decoded bimodal — the interface fallback and the
-	// TAGE fast path in one contest.
+	// midCore's with a decoded bimodal — both non-default predictors in one
+	// contest.
 	tageCore    = []byte{0, 3, 3, 0, 3, 0, 1, 0, 30, 0, 3, 2, 1}
 	bimodalCore = []byte{4, 1, 2, 1, 2, 1, 0, 4, 80, 2, 1, 4, 0}
 	// Component-diverse cores: fastCore with random L1 / SRRIP L2 and a

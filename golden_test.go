@@ -142,9 +142,8 @@ func goldenContested() []goldenRun {
 }
 
 // goldenPredictors are the non-default predictor variants of the golden
-// grid: the palette is all-gshare, so without these legs the bimodal
-// interface fallback and the TAGE fast path in doFetch had no golden
-// coverage at all.
+// grid: the palette is all-gshare, so without these legs bimodal and TAGE
+// had no golden coverage at all.
 var goldenPredictors = []struct {
 	name string
 	cfg  branch.Config

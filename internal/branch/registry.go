@@ -14,9 +14,8 @@ import (
 // are pre-registered so Registered() is the complete palette; their
 // construction stays on the explicit switch in Config.New (same validation,
 // same error text), and the registry's factory path is taken only by
-// third-party kinds — which is also why the pipeline's devirtualised fast
-// paths never see a registered predictor: an unknown concrete type falls
-// back to the Predictor interface automatically.
+// third-party kinds. The pipeline calls every predictor, built-in or
+// registered, through the Predictor interface.
 
 // Factory builds a predictor from its configuration. The registry passes
 // the full Config through, so a third-party family is free to interpret
@@ -155,14 +154,15 @@ func Conformance(cfg Config) error {
 	}
 	// Allocation fence: after a warm-up pass (lazy tables may allocate on
 	// first touch), Predict/Update must be allocation-free. Mallocs is a
-	// process-global counter, so the exact-zero assertion holds only
-	// because nothing else runs between the readings.
+	// process-global counter, so the window runs at GOMAXPROCS(1): no other
+	// goroutine runs beside it to allocate between the readings.
 	b.Reset()
 	step := func(pc uint64, taken bool) {
 		b.Predict(pc)
 		b.Update(pc, taken)
 	}
 	conformanceStimulus(n, step)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	conformanceStimulus(n, step)

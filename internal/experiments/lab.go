@@ -29,7 +29,6 @@ import (
 
 	"archcontest/internal/config"
 	"archcontest/internal/contest"
-	"archcontest/internal/invariant"
 	"archcontest/internal/merit"
 	"archcontest/internal/obs"
 	"archcontest/internal/resultcache"
@@ -86,7 +85,7 @@ func (c *Config) applyDefaults() {
 		c.N = 1_000_000
 	}
 	if c.LatencyNs == 0 {
-		c.LatencyNs = 1.0
+		c.LatencyNs = defaultLatencyNs
 	}
 	if c.CandidatePairs == 0 {
 		c.CandidatePairs = 3
@@ -298,19 +297,6 @@ func (l *Lab) Trace(ctx context.Context, bench string) (*trace.Trace, error) {
 	return v.(*trace.Trace), nil
 }
 
-// RunKey derives the content address of one single-core leaf run. It is
-// the cache identity shared by every layer that executes single runs (Lab,
-// explore, spec): engine version, trace fingerprint and shape, core
-// configuration, run options.
-func RunKey(tr *trace.Trace, cfg config.CoreConfig, opts sim.RunOptions) string {
-	return resultcache.Key("run", sim.EngineVersion, tr.Fingerprint(), tr.Name(), tr.Len(), cfg, opts)
-}
-
-// ContestKey derives the content address of one contested leaf run.
-func ContestKey(tr *trace.Trace, cfgs []config.CoreConfig, opts contest.Options) string {
-	return resultcache.Key("contest", sim.EngineVersion, tr.Fingerprint(), tr.Name(), tr.Len(), cfgs, opts)
-}
-
 // RunOn returns (computing, deduplicating, and caching) one benchmark's
 // stand-alone run on one palette-or-custom core configuration.
 func (l *Lab) RunOn(ctx context.Context, bench string, cfg config.CoreConfig, opts sim.RunOptions) (sim.Result, error) {
@@ -320,47 +306,40 @@ func (l *Lab) RunOn(ctx context.Context, bench string, cfg config.CoreConfig, op
 	}
 	key := RunKey(tr, cfg, opts)
 	v, err := l.flight.do(ctx, "run/"+key, func() (any, error) {
-		if l.cfg.Verify {
-			var r sim.Result
-			var rerr error
-			if eerr := l.execTimed(ctx, "run", bench+"/"+cfg.Name, func() {
-				l.sims.Add(1)
-				r, rerr = l.runVerified(ctx, tr, cfg, opts)
-			}); eerr != nil {
-				return nil, eerr
+		return leaf(ctx, l, key, "run", bench+"/"+cfg.Name, &l.sims, func() (sim.Result, error) {
+			if l.cfg.Verify {
+				return RunVerified(ctx, cfg, tr, opts, l.cfg.VerifyScanEvery)
 			}
-			if rerr != nil {
-				return nil, rerr
-			}
-			return r, nil
-		}
-		if l.cfg.Cache != nil {
-			var cached sim.Result
-			if l.cfg.Cache.Get(key, &cached) {
-				l.cacheHits.Add(1)
-				return cached, nil
-			}
-			l.cacheMisses.Add(1)
-		}
-		var r sim.Result
-		var rerr error
-		if eerr := l.execTimed(ctx, "run", bench+"/"+cfg.Name, func() {
-			l.sims.Add(1)
-			r, rerr = sim.RunContext(ctx, cfg, tr, opts)
-		}); eerr != nil {
-			return nil, eerr
-		}
-		if rerr != nil {
-			// A cancelled or failed run never reaches the cache.
-			return nil, rerr
-		}
-		l.cfg.Cache.Put(key, r)
-		return r, nil
+			return sim.RunContext(ctx, cfg, tr, opts)
+		})
 	})
 	if err != nil {
 		return sim.Result{}, err
 	}
 	return v.(sim.Result), nil
+}
+
+// leaf executes one Lab leaf under the leaf cache rule (Cached; a verified
+// Lab bypasses the cache), counting each lookup. An executed leaf takes a
+// worker slot, runs inside a kind span and counts in done.
+func leaf[T any](ctx context.Context, l *Lab, key, kind, name string, done *atomic.Int64, run func() (T, error)) (T, error) {
+	return Cached(l.cfg.Cache, key, l.cfg.Verify, l.countLookup, func() (r T, err error) {
+		if eerr := l.execTimed(ctx, kind, name, func() {
+			done.Add(1)
+			r, err = run()
+		}); eerr != nil {
+			return r, eerr
+		}
+		return r, err
+	})
+}
+
+func (l *Lab) countLookup(hit bool) {
+	if hit {
+		l.cacheHits.Add(1)
+	} else {
+		l.cacheMisses.Add(1)
+	}
 }
 
 // Runs returns (computing and caching) the benchmark's single-core runs on
@@ -479,41 +458,12 @@ func (l *Lab) ContestConfigs(ctx context.Context, bench string, cfgs []config.Co
 	}
 	key := ContestKey(tr, cfgs, opts)
 	v, err := l.flight.do(ctx, "contest/"+key, func() (any, error) {
-		if l.cfg.Verify {
-			var r contest.Result
-			var rerr error
-			if eerr := l.execTimed(ctx, "contest", span, func() {
-				l.contests.Add(1)
-				r, rerr = l.contestVerified(ctx, tr, cfgs, opts)
-			}); eerr != nil {
-				return nil, eerr
+		return leaf(ctx, l, key, "contest", span, &l.contests, func() (contest.Result, error) {
+			if l.cfg.Verify {
+				return ContestVerified(ctx, cfgs, tr, opts, l.cfg.VerifyScanEvery)
 			}
-			if rerr != nil {
-				return nil, rerr
-			}
-			return r, nil
-		}
-		if l.cfg.Cache != nil {
-			var cached contest.Result
-			if l.cfg.Cache.Get(key, &cached) {
-				l.cacheHits.Add(1)
-				return cached, nil
-			}
-			l.cacheMisses.Add(1)
-		}
-		var r contest.Result
-		var rerr error
-		if eerr := l.execTimed(ctx, "contest", span, func() {
-			l.contests.Add(1)
-			r, rerr = contest.RunContext(ctx, cfgs, tr, opts)
-		}); eerr != nil {
-			return nil, eerr
-		}
-		if rerr != nil {
-			return nil, rerr
-		}
-		l.cfg.Cache.Put(key, r)
-		return r, nil
+			return contest.RunContext(ctx, cfgs, tr, opts)
+		})
 	})
 	if err != nil {
 		return contest.Result{}, err
@@ -598,66 +548,6 @@ func (l *Lab) BestPair(ctx context.Context, bench string) (contest.Result, error
 		return contest.Result{}, err
 	}
 	return v.(contest.Result), nil
-}
-
-// labViolations collects checker violations of one verified leaf, capped so
-// a systematically broken run cannot accumulate unbounded error chains.
-type labViolations struct {
-	errs []error
-	more int
-}
-
-func (v *labViolations) add(err error) {
-	if len(v.errs) < 8 {
-		v.errs = append(v.errs, err)
-	} else {
-		v.more++
-	}
-}
-
-func (v *labViolations) err(what string) error {
-	if len(v.errs) == 0 {
-		return nil
-	}
-	if v.more > 0 {
-		v.errs = append(v.errs, fmt.Errorf("... and %d further violations", v.more))
-	}
-	return fmt.Errorf("experiments: verified %s: %w", what, errors.Join(v.errs...))
-}
-
-// runVerified executes one single-core leaf with the invariant checker and
-// differential oracle attached. Never cached: the checks happen during
-// execution.
-func (l *Lab) runVerified(ctx context.Context, tr *trace.Trace, cfg config.CoreConfig, opts sim.RunOptions) (sim.Result, error) {
-	var v labViolations
-	chk := invariant.NewCoreChecker(tr, invariant.Options{
-		OnViolation: v.add,
-		ScanEvery:   l.cfg.VerifyScanEvery,
-	})
-	opts.Checker = chk
-	r, err := sim.RunContext(ctx, cfg, tr, opts)
-	if err != nil {
-		return r, err
-	}
-	chk.Finish(int64(tr.Len()))
-	return r, v.err(fmt.Sprintf("run of %s on %s", tr.Name(), cfg.Name))
-}
-
-// contestVerified executes one contested leaf with per-core checkers and the
-// system observer attached. Never cached.
-func (l *Lab) contestVerified(ctx context.Context, tr *trace.Trace, cfgs []config.CoreConfig, opts contest.Options) (contest.Result, error) {
-	var v labViolations
-	obs := invariant.NewSystemObserver(tr, invariant.Options{
-		OnViolation: v.add,
-		ScanEvery:   l.cfg.VerifyScanEvery,
-	})
-	opts.Observer = obs
-	r, err := contest.RunContext(ctx, cfgs, tr, opts)
-	if err != nil {
-		return r, err
-	}
-	obs.Finish(r)
-	return r, v.err(fmt.Sprintf("contest of %s", tr.Name()))
 }
 
 // OwnCoreIPT reports the benchmark's stand-alone IPT on its own customized

@@ -2,7 +2,9 @@ package experiments
 
 import (
 	"context"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"archcontest/internal/contest"
@@ -93,6 +95,36 @@ func TestVerifiedFiguresSweep(t *testing.T) {
 		}
 		if len(tab.Rows) == 0 {
 			t.Errorf("%s: empty table", id)
+		}
+	}
+}
+
+// TestVerifiedViolationCollector pins the one violation collector: no
+// violations report nil, up to the cap every violation is listed, and past
+// it the cap is listed plus a count of the rest.
+func TestVerifiedViolationCollector(t *testing.T) {
+	var none violations
+	if err := none.err("run"); err != nil {
+		t.Errorf("no violations reported %v", err)
+	}
+	for _, n := range []int{1, maxViolations, maxViolations + 5} {
+		var v violations
+		for i := 0; i < n; i++ {
+			v.add(fmt.Errorf("violation %d", i))
+		}
+		err := v.err("run of gcc on gcc")
+		if err == nil {
+			t.Fatalf("%d violations reported nil", n)
+		}
+		want := []string{"experiments: verified run of gcc on gcc: violation 0"}
+		for i := 1; i < min(n, maxViolations); i++ {
+			want = append(want, fmt.Sprintf("violation %d", i))
+		}
+		if n > maxViolations {
+			want = append(want, fmt.Sprintf("... and %d further violations", n-maxViolations))
+		}
+		if got := strings.Split(err.Error(), "\n"); !reflect.DeepEqual(got, want) {
+			t.Errorf("%d violations reported\n%s\nwant\n%s", n, err, strings.Join(want, "\n"))
 		}
 	}
 }

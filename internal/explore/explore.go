@@ -31,6 +31,7 @@ import (
 
 	"archcontest/internal/branch"
 	"archcontest/internal/config"
+	"archcontest/internal/experiments"
 	"archcontest/internal/fastmodel"
 	"archcontest/internal/obs"
 	"archcontest/internal/resultcache"
@@ -299,8 +300,9 @@ func neighbor(s state, r *xrand.RNG) state {
 	}
 }
 
-// evaluator measures design points, consulting the optional result cache
-// under the same key derivation the campaign Lab uses.
+// evaluator measures design points as plain leaves of the campaign leaf
+// path (experiments.Cached under experiments.RunKey), so an optional result
+// cache shares its entries with the Lab.
 type evaluator struct {
 	tr    *trace.Trace
 	name  string
@@ -324,16 +326,12 @@ func (e *evaluator) eval(ctx context.Context, s state) (config.CoreConfig, float
 	if err != nil {
 		return config.CoreConfig{}, 0, err
 	}
-	key := resultcache.Key("run", sim.EngineVersion, e.tr.Fingerprint(), e.tr.Name(), e.tr.Len(), cfg, e.ropts)
-	var res sim.Result
-	if !e.cache.Get(key, &res) {
-		e.log.Time("eval", e.name, func() {
-			res, err = sim.RunContext(ctx, cfg, e.tr, e.ropts)
-		})
-		if err != nil {
-			return config.CoreConfig{}, 0, err
-		}
-		e.cache.Put(key, res)
+	res, err := experiments.Cached(e.cache, experiments.RunKey(e.tr, cfg, e.ropts), false, nil, func() (r sim.Result, err error) {
+		e.log.Time("eval", e.name, func() { r, err = sim.RunContext(ctx, cfg, e.tr, e.ropts) })
+		return r, err
+	})
+	if err != nil {
+		return config.CoreConfig{}, 0, err
 	}
 	return cfg, res.IPT(), nil
 }

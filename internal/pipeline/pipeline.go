@@ -233,11 +233,6 @@ type Core struct {
 	onRetire func(idx int64, at ticks.Time)
 	checker  Checker
 	legacy   bool
-	// gshare/tage devirtualize the predictor when it is one of the known
-	// concrete implementations; both nil otherwise (fetch falls back to
-	// the interface). At most one is non-nil.
-	gshare *branch.Gshare
-	tage   *branch.TAGE
 	// Hot CoreConfig limits mirrored the same way: fetch, dispatch, issue
 	// and the next-event scan all test them every cycle.
 	width   int
@@ -383,12 +378,6 @@ func NewCore(cfg config.CoreConfig, tr *trace.Trace, opts Options) (*Core, error
 		robSize:       int64(cfg.ROBSize),
 		iqSize:        cfg.IQSize,
 		lsqSize:       cfg.LSQSize,
-	}
-	switch p := pred.(type) {
-	case *branch.Gshare:
-		c.gshare = p
-	case *branch.TAGE:
-		c.tage = p
 	}
 	// One backing allocation for every int64 field array, plus the flags.
 	backing := make([]int64, 12*ringSize)
@@ -1303,25 +1292,11 @@ func (c *Core) doFetch() {
 				c.completeCycle[slot] = now
 				c.valueReady[slot] = now
 				if !c.opts.NoTrainOnInject {
-					if g := c.gshare; g != nil {
-						g.Update(in.PC, in.Taken)
-					} else if tg := c.tage; tg != nil {
-						tg.Update(in.PC, in.Taken)
-					} else {
-						c.pred.Update(in.PC, in.Taken)
-					}
+					c.pred.Update(in.PC, in.Taken)
 				}
 			}
 		} else if in.Op == isa.OpBranch {
-			var predicted bool
-			if g := c.gshare; g != nil {
-				predicted = g.Predict(in.PC)
-			} else if tg := c.tage; tg != nil {
-				predicted = tg.Predict(in.PC)
-			} else {
-				predicted = c.pred.Predict(in.PC)
-			}
-			if predicted != in.Taken {
+			if c.pred.Predict(in.PC) != in.Taken {
 				c.flags[slot] = flagMispredicted
 				mispredicted = true
 				c.pendingBranch = seq
@@ -1329,13 +1304,7 @@ func (c *Core) doFetch() {
 			// Train at fetch: the trace-driven model resolves the direction
 			// immediately, which stands in for speculative history update
 			// plus in-order counter training.
-			if g := c.gshare; g != nil {
-				g.Update(in.PC, in.Taken)
-			} else if tg := c.tage; tg != nil {
-				tg.Update(in.PC, in.Taken)
-			} else {
-				c.pred.Update(in.PC, in.Taken)
-			}
+			c.pred.Update(in.PC, in.Taken)
 		}
 		c.tailSeq++
 		c.progressed = true

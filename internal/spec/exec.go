@@ -2,7 +2,6 @@ package spec
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"runtime"
@@ -12,7 +11,6 @@ import (
 	"archcontest/internal/contest"
 	"archcontest/internal/experiments"
 	"archcontest/internal/explore"
-	"archcontest/internal/invariant"
 	"archcontest/internal/merit"
 	"archcontest/internal/obs"
 	"archcontest/internal/pipeline"
@@ -118,6 +116,9 @@ type progressTracker struct {
 }
 
 func newProgressTracker(fn func(done, total int64), total int64) *progressTracker {
+	if fn == nil {
+		return nil
+	}
 	stride := total / 256
 	if stride < 1 {
 		stride = 1
@@ -175,30 +176,6 @@ func (o progressObserver) Attach(*contest.System)           {}
 func (o progressObserver) CoreChecker(int) pipeline.Checker { return progressChecker{o.p} }
 func (o progressObserver) AfterStep(*contest.System, int)   {}
 
-// violations collects checker violations, capped.
-type violations struct {
-	errs []error
-	more int
-}
-
-func (v *violations) add(err error) {
-	if len(v.errs) < 8 {
-		v.errs = append(v.errs, err)
-	} else {
-		v.more++
-	}
-}
-
-func (v *violations) err(what string) error {
-	if len(v.errs) == 0 {
-		return nil
-	}
-	if v.more > 0 {
-		v.errs = append(v.errs, fmt.Errorf("... and %d further violations", v.more))
-	}
-	return fmt.Errorf("spec: verified %s: %w", what, errors.Join(v.errs...))
-}
-
 // Execute validates and runs the spec inside the environment. Cancelling
 // ctx stops the execution cooperatively: the engines exit at their next
 // context poll, campaign layers abandon un-started leaves, and no partial
@@ -233,6 +210,10 @@ func generateTrace(sp Spec) (*trace.Trace, error) {
 	return workload.Generate(p, sp.N)
 }
 
+// executeRun and executeContest execute one leaf each through the
+// experiments leaf path: a plain leaf is served from and stored into the
+// cache, a verified or recorded one bypasses it. The progress tracker and
+// the recorder ride beside the verification checkers.
 func executeRun(ctx context.Context, sp Spec, env *Env, hooks Hooks) (*Outcome, error) {
 	cfgs, err := sp.ResolveCores()
 	if err != nil {
@@ -248,49 +229,21 @@ func executeRun(ctx context.Context, sp Spec, env *Env, hooks Hooks) (*Outcome, 
 		opts = *sp.Run
 	}
 	out := &Outcome{Kind: KindRun}
-
-	// The cache serves (and learns) only plain executions: verification
-	// must actually run, and a recording must observe real execution.
-	key := experiments.RunKey(tr, cfg, opts)
-	cacheable := env.Cache != nil && !sp.Verify && !sp.Record
-	if cacheable {
-		var cached sim.Result
-		if env.Cache.Get(key, &cached) {
-			if hooks.Progress != nil {
-				hooks.Progress(int64(tr.Len()), int64(tr.Len()))
-			}
-			out.Run = &cached
-			return out, nil
-		}
-	}
-
-	var tracker *progressTracker
-	if hooks.Progress != nil {
-		tracker = newProgressTracker(hooks.Progress, int64(tr.Len()))
-	}
-	var vlog violations
-	var chk pipeline.Checker
-	if sp.Verify {
-		chk = invariant.NewCoreChecker(tr, invariant.Options{OnViolation: vlog.add})
-	}
+	tracker := newProgressTracker(hooks.Progress, int64(tr.Len()))
+	var recChk pipeline.Checker
 	if sp.Record {
 		out.recorder = obs.NewRecorder(obs.Options{SampleIntervalNs: sp.SampleNs})
-	}
-	var recChk pipeline.Checker
-	if out.recorder != nil {
 		recChk = out.recorder.CoreChecker(0)
 	}
-	opts.Checker = obs.MultiChecker(tracker.checker(), recChk, chk)
-
-	res, err := sim.RunContext(ctx, cfg, tr, opts)
+	opts.Checker = obs.MultiChecker(tracker.checker(), recChk)
+	res, err := experiments.Cached(env.Cache, experiments.RunKey(tr, cfg, opts), sp.Verify || sp.Record, nil, func() (sim.Result, error) {
+		if sp.Verify {
+			return experiments.RunVerified(ctx, cfg, tr, opts, 0)
+		}
+		return sim.RunContext(ctx, cfg, tr, opts)
+	})
 	if err != nil {
 		return nil, err
-	}
-	if fin, ok := chk.(*invariant.CoreChecker); ok && fin != nil {
-		fin.Finish(int64(tr.Len()))
-	}
-	if verr := vlog.err(fmt.Sprintf("run of %s on %s", tr.Name(), cfg.Name)); verr != nil {
-		return nil, verr
 	}
 	tracker.finish()
 	if out.recorder != nil {
@@ -300,9 +253,6 @@ func executeRun(ctx context.Context, sp Spec, env *Env, hooks Hooks) (*Outcome, 
 			return nil, err
 		}
 		out.Metrics = &m
-	}
-	if cacheable {
-		env.Cache.Put(key, res)
 	}
 	out.Run = &res
 	return out, nil
@@ -321,54 +271,25 @@ func executeContest(ctx context.Context, sp Spec, env *Env, hooks Hooks) (*Outco
 	if sp.Contest != nil {
 		opts = *sp.Contest
 	}
-	if opts.LatencyNs == 0 && sp.LatencyNs != 0 {
+	if opts.LatencyNs == 0 {
 		opts.LatencyNs = sp.LatencyNs
 	}
 	out := &Outcome{Kind: KindContest}
-
-	key := experiments.ContestKey(tr, cfgs, opts)
-	cacheable := env.Cache != nil && !sp.Verify && !sp.Record
-	if cacheable {
-		var cached contest.Result
-		if env.Cache.Get(key, &cached) {
-			if hooks.Progress != nil {
-				hooks.Progress(int64(tr.Len()), int64(tr.Len()))
-			}
-			out.Contest = &cached
-			return out, nil
-		}
-	}
-
-	var tracker *progressTracker
-	if hooks.Progress != nil {
-		tracker = newProgressTracker(hooks.Progress, int64(tr.Len()))
-	}
-	var vlog violations
-	var inv *invariant.SystemObserver
-	if sp.Verify {
-		inv = invariant.NewSystemObserver(tr, invariant.Options{OnViolation: vlog.add})
-	}
+	tracker := newProgressTracker(hooks.Progress, int64(tr.Len()))
+	var recObs contest.Observer
 	if sp.Record {
 		out.recorder = obs.NewRecorder(obs.Options{SampleIntervalNs: sp.SampleNs})
-	}
-	var invObs, recObs contest.Observer
-	if inv != nil {
-		invObs = inv
-	}
-	if out.recorder != nil {
 		recObs = out.recorder
 	}
-	opts.Observer = obs.MultiObserver(tracker.observer(), recObs, invObs)
-
-	res, err := contest.RunContext(ctx, cfgs, tr, opts)
+	opts.Observer = obs.MultiObserver(tracker.observer(), recObs)
+	res, err := experiments.Cached(env.Cache, experiments.ContestKey(tr, cfgs, opts), sp.Verify || sp.Record, nil, func() (contest.Result, error) {
+		if sp.Verify {
+			return experiments.ContestVerified(ctx, cfgs, tr, opts, 0)
+		}
+		return contest.RunContext(ctx, cfgs, tr, opts)
+	})
 	if err != nil {
 		return nil, err
-	}
-	if inv != nil {
-		inv.Finish(res)
-	}
-	if verr := vlog.err(fmt.Sprintf("contest of %s", tr.Name())); verr != nil {
-		return nil, verr
 	}
 	tracker.finish()
 	if out.recorder != nil {
@@ -378,9 +299,6 @@ func executeContest(ctx context.Context, sp Spec, env *Env, hooks Hooks) (*Outco
 			return nil, err
 		}
 		out.Metrics = &m
-	}
-	if cacheable {
-		env.Cache.Put(key, res)
 	}
 	out.Contest = &res
 	return out, nil

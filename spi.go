@@ -13,9 +13,9 @@ package archcontest
 // construction plus an equal call sequence yields equal outputs; Reset
 // restores the exact post-construction cold state; and the hot-path methods
 // (Predict/Update, Touch/Insert/Victim, OnAccess) must not allocate.
-// Built-in components keep their devirtualised fast paths; registered ones
-// run through the interface fallback, bit-identically modeled but dispatched
-// dynamically.
+// Every predictor, built-in or registered, is called through the
+// BranchPredictor interface; only the built-in true-LRU replacement keeps a
+// fused fast path, and other policies run through CacheReplacer.
 
 import (
 	"context"
