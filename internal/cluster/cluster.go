@@ -18,15 +18,18 @@
 //     guarantees every accepted job surfaces a terminal state: retried
 //     elsewhere, completed, or failed-with-cause — never silently lost.
 //
-//   - Fleet: an in-process coordinator-plus-nodes harness used by the
-//     load/fault tests and the repository benchmark's serve workload.
+//   - Fleet: StartFleet, an in-process coordinator plus nodes, which the
+//     cluster tests and the repository benchmark's serve workload start.
 package cluster
 
 import (
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 
 	"archcontest/internal/resultcache"
+	"archcontest/internal/spec"
 )
 
 // Health is the /healthz payload of both nodes and the coordinator. For a
@@ -73,4 +76,62 @@ func writeErr(w http.ResponseWriter, code int, err error) {
 func writeShed(w http.ResponseWriter, code int, retryAfter string, err error) {
 	w.Header().Set("Retry-After", retryAfter)
 	writeErr(w, code, err)
+}
+
+// readSpec decodes a POSTed spec body of at most 1 MiB. On failure it
+// answers 400 and reports false.
+func readSpec(w http.ResponseWriter, r *http.Request) (spec.Spec, bool) {
+	body := http.MaxBytesReader(w, r.Body, 1<<20)
+	defer body.Close()
+	raw, err := io.ReadAll(body)
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, fmt.Errorf("reading body: %w", err))
+		return spec.Spec{}, false
+	}
+	sp, err := spec.Parse(raw)
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, err)
+		return spec.Spec{}, false
+	}
+	return sp, true
+}
+
+// watchStream serves a ?watch=1 stream: one NDJSON line each time the
+// job's sequence number advances, ending with the terminal line. snapshot
+// returns the line to write, its sequence number and whether it is
+// terminal. notify is the caller's subscription to sequence advances and
+// done closes when the job ends.
+//
+// The stream sleeps on notify rather than polling, and it returns as soon
+// as the client disconnects, so an abandoned watch never writes into a
+// dead connection. The caller releases its subscription when watchStream
+// returns (locked by TestNodeWatchDisconnectReleases).
+func watchStream(w http.ResponseWriter, r *http.Request, notify, done <-chan struct{}, snapshot func() (any, int64, bool)) {
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.WriteHeader(http.StatusOK)
+	flusher, _ := w.(http.Flusher)
+	enc := json.NewEncoder(w)
+	lastSeq := int64(-1)
+	for {
+		v, seq, terminal := snapshot()
+		if seq != lastSeq || terminal {
+			lastSeq = seq
+			if err := enc.Encode(v); err != nil {
+				return
+			}
+			if flusher != nil {
+				flusher.Flush()
+			}
+			if terminal {
+				return
+			}
+		}
+		select {
+		case <-notify:
+		case <-done:
+			// Loop once more to write the terminal line.
+		case <-r.Context().Done():
+			return
+		}
+	}
 }

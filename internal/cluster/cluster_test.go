@@ -6,9 +6,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
+
+	"archcontest/internal/spec"
 )
 
 func TestRankDeterministicAndTotal(t *testing.T) {
@@ -317,5 +321,154 @@ func TestFacadeBackpressureFailover(t *testing.T) {
 	}
 	for _, id := range ids {
 		waitTerminal(t, f.CoordURL, id)
+	}
+}
+
+// heldNode is a fake fleet node that answers /healthz and holds every
+// POST /v1/jobs until release is called or the caller gives up. held
+// receives a value once a POST is being held. After release it accepts
+// the job as job-0001, whose status and watch stream are one terminal
+// line.
+type heldNode struct {
+	*httptest.Server
+	held    chan struct{}
+	release func()
+}
+
+func newHeldNode(t *testing.T) *heldNode {
+	t.Helper()
+	held := make(chan struct{}, 1)
+	gate := make(chan struct{})
+	var once sync.Once
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
+		writeJSON(w, http.StatusOK, Health{Status: "ok"})
+	})
+	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case held <- struct{}{}:
+		default:
+		}
+		select {
+		case <-gate:
+		case <-r.Context().Done():
+			return
+		}
+		writeJSON(w, http.StatusAccepted, map[string]any{"id": "job-0001", "state": "queued", "seq": 1})
+	})
+	mux.HandleFunc("GET /v1/jobs/job-0001", func(w http.ResponseWriter, _ *http.Request) {
+		json.NewEncoder(w).Encode(map[string]any{"id": "job-0001", "state": "done", "seq": 2, "result": map[string]any{}})
+	})
+	n := &heldNode{
+		Server:  httptest.NewServer(mux),
+		held:    held,
+		release: func() { once.Do(func() { close(gate) }) },
+	}
+	t.Cleanup(n.Close)
+	t.Cleanup(n.release)
+	return n
+}
+
+// startFacade serves a coordinator over nodes. Its cleanup closes the
+// coordinator before the facade server: that cancels any placement still
+// waiting on a node, which would otherwise keep the server from closing.
+func startFacade(t *testing.T, nodes ...string) (*Coordinator, string) {
+	t.Helper()
+	c := NewCoordinator(CoordOptions{Nodes: nodes})
+	srv := httptest.NewServer(c.Handler())
+	t.Cleanup(srv.Close)
+	t.Cleanup(c.Close)
+	return c, srv.URL
+}
+
+// TestFacadeDrainWaitsForPlacement: a Drain that starts while a submission
+// is being placed waits for that job, and once it returns nil the job the
+// facade accepted is terminal.
+func TestFacadeDrainWaitsForPlacement(t *testing.T) {
+	node := newHeldNode(t)
+	c, facade := startFacade(t, node.URL)
+
+	type reply struct {
+		code int
+		v    map[string]any
+		err  error
+	}
+	submitted := make(chan reply, 1)
+	go func() {
+		resp, err := http.Post(facade+"/v1/jobs", "application/json",
+			strings.NewReader(`{"kind":"run","bench":"gcc","cores":["gcc"],"n":20000}`))
+		if err != nil {
+			submitted <- reply{err: err}
+			return
+		}
+		defer resp.Body.Close()
+		var v map[string]any
+		err = json.NewDecoder(resp.Body).Decode(&v)
+		submitted <- reply{resp.StatusCode, v, err}
+	}()
+	select {
+	case <-node.held:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the node never received the placement")
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	drained := make(chan error, 1)
+	go func() { drained <- c.Drain(ctx) }()
+	select {
+	case err := <-drained:
+		t.Fatalf("Drain returned %v while a submission was still being placed", err)
+	case <-time.After(200 * time.Millisecond):
+	}
+	node.release()
+	r := <-submitted
+	if r.err != nil || r.code != http.StatusAccepted {
+		t.Fatalf("submission admitted before the drain: status %d %v, err %v", r.code, r.v, r.err)
+	}
+	if err := <-drained; err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	if _, v := get(t, facade+"/v1/jobs/"+r.v["id"].(string)); v["state"] != "done" {
+		t.Fatalf("Drain returned with the accepted job in state %v", v["state"])
+	}
+}
+
+// TestFacadePlacementDeadline: a node that answers probes but stalls on
+// submissions holds a placement for at most rpcTimeout; the job then lands
+// on the next ranked node.
+func TestFacadePlacementDeadline(t *testing.T) {
+	live, _ := newTestNode(t, 1, NodeOptions{})
+	stalled := newHeldNode(t)
+	nodes := []string{stalled.URL, live.URL}
+	body := ""
+	for n := 20000; body == ""; n++ {
+		b := fmt.Sprintf(`{"kind":"run","bench":"gcc","cores":["gcc"],"n":%d}`, n)
+		sp, err := spec.Parse([]byte(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if Rank(sp.RouteKey(), nodes)[0] == stalled.URL {
+			body = b
+		}
+	}
+	c, facade := startFacade(t, nodes...)
+
+	client := &http.Client{Timeout: 10 * time.Second}
+	resp, err := client.Post(facade+"/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	defer resp.Body.Close()
+	var v map[string]any
+	if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
+		t.Fatalf("decoding response: %v", err)
+	}
+	if resp.StatusCode != http.StatusAccepted || v["node"] != live.URL {
+		t.Fatalf("submit: %d %v, want 202 on %s", resp.StatusCode, v, live.URL)
+	}
+	waitTerminal(t, facade, v["id"].(string))
+	if st := c.Stats(); st.Sheds != 1 {
+		t.Errorf("sheds %d, want 1 for the stalled node (stats %+v)", st.Sheds, st)
 	}
 }

@@ -13,25 +13,19 @@ import (
 	"time"
 )
 
-// CoordOptions configures a Coordinator.
+// CoordOptions configures a Coordinator. Placement always ranks the
+// healthy nodes by cache affinity (Rank), and one job is placed on at most
+// three nodes (maxAttempts).
 type CoordOptions struct {
 	// Nodes are the fleet nodes' base URLs ("http://host:port").
 	Nodes []string
-	// Client issues every node request. It must not carry a global
-	// timeout (watch streams are long-lived); probes bound themselves with
-	// per-request contexts. Nil gets a fresh default client.
-	Client *http.Client
 	// ProbeInterval is the health-probe period (default 500ms).
 	ProbeInterval time.Duration
-	// MaxAttempts bounds how many nodes one job may be placed on before
-	// the coordinator declares it failed (default 3: the initial placement
-	// plus two reroutes).
-	MaxAttempts int
-	// RoundRobin replaces cache-aware routing with round-robin placement.
-	// It exists as the baseline leg of the routing benchmark; leave it off
-	// in production.
-	RoundRobin bool
 }
+
+// maxAttempts bounds how many nodes one job may be placed on before the
+// coordinator declares it failed: the initial placement plus two reroutes.
+const maxAttempts = 3
 
 // CoordStats counts coordinator traffic.
 type CoordStats struct {
@@ -58,7 +52,10 @@ type CoordStats struct {
 // design; construct with NewCoordinator, serve Handler, stop with Drain
 // (graceful) and/or Close (hard).
 type Coordinator struct {
-	opts   CoordOptions
+	opts CoordOptions
+	// client issues every node request. It carries no global timeout,
+	// because watch streams are long-lived; other requests bound
+	// themselves with rpcTimeout.
 	client *http.Client
 	ctx    context.Context
 	stop   context.CancelFunc
@@ -70,9 +67,7 @@ type Coordinator struct {
 	order    []string
 	nextID   int64
 	draining bool
-	wg       sync.WaitGroup // one monitor per non-terminal job
-
-	rr atomic.Uint64 // round-robin cursor (baseline routing)
+	wg       sync.WaitGroup // one count per job being placed or monitored
 
 	submits, affinityHits, sheds, rejected, reroutes, lost atomic.Int64
 }
@@ -92,17 +87,10 @@ func NewCoordinator(opts CoordOptions) *Coordinator {
 	if opts.ProbeInterval <= 0 {
 		opts.ProbeInterval = 500 * time.Millisecond
 	}
-	if opts.MaxAttempts <= 0 {
-		opts.MaxAttempts = 3
-	}
-	client := opts.Client
-	if client == nil {
-		client = &http.Client{}
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	c := &Coordinator{
 		opts:   opts,
-		client: client,
+		client: &http.Client{},
 		ctx:    ctx,
 		stop:   cancel,
 		jobs:   make(map[string]*coordJob),
@@ -166,11 +154,11 @@ func (c *Coordinator) probeLoop() {
 	}
 }
 
-// rpcTimeout bounds probe and liveness requests. It scales with the probe
-// interval but never drops below a floor: a node that is merely slow under
-// load must not be mistaken for a dead one (hard death shows up as an
-// immediate connection error anyway, so a generous floor does not delay
-// fault detection).
+// rpcTimeout bounds probe, placement and liveness requests. It scales with
+// the probe interval but never drops below a floor: a node that is merely
+// slow under load must not be mistaken for a dead one (hard death shows up
+// as an immediate connection error anyway, so a generous floor does not
+// delay fault detection).
 func (c *Coordinator) rpcTimeout() time.Duration {
 	d := 4 * c.opts.ProbeInterval
 	if d < 2*time.Second {
@@ -229,21 +217,6 @@ func (c *Coordinator) nodeState(url string) *nodeState {
 		}
 	}
 	return nil
-}
-
-// placementOrder ranks the healthy nodes for a route key: rendezvous
-// affinity order normally, a rotating cursor under the round-robin
-// baseline.
-func (c *Coordinator) placementOrder(routeKey string) []string {
-	healthy := c.healthyNodes()
-	if len(healthy) == 0 {
-		return nil
-	}
-	if c.opts.RoundRobin {
-		i := int(c.rr.Add(1)-1) % len(healthy)
-		return append(healthy[i:], healthy[:i]...)
-	}
-	return Rank(routeKey, healthy)
 }
 
 // coordJob is the coordinator's record of one facade job. It is the
@@ -363,10 +336,14 @@ func (j *coordJob) view(withResult bool) (map[string]any, int64, bool) {
 
 // ---- placement and monitoring ----
 
-// postJob submits raw spec JSON to a node. It returns the HTTP status and
+// postJob submits raw spec JSON to a node within rpcTimeout, so a node
+// that answers probes but stalls on submissions cannot hang placement
+// (locked by TestFacadePlacementDeadline). It returns the HTTP status and
 // the decoded response body (nil on undecodable bodies).
 func (c *Coordinator) postJob(node string, raw []byte) (int, map[string]any, error) {
-	req, err := http.NewRequestWithContext(c.ctx, http.MethodPost, node+"/v1/jobs", bytes.NewReader(raw))
+	ctx, cancel := context.WithTimeout(c.ctx, c.rpcTimeout())
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, node+"/v1/jobs", bytes.NewReader(raw))
 	if err != nil {
 		return 0, nil, err
 	}
@@ -381,19 +358,19 @@ func (c *Coordinator) postJob(node string, raw []byte) (int, map[string]any, err
 	return resp.StatusCode, body, nil
 }
 
-// place puts the job on the first node (in placement order) that accepts
-// it. It reports whether a node accepted; shed/unreachable nodes are
-// stepped over.
+// place puts the job on the first node, in Rank order over the healthy
+// nodes, that accepts it. It reports whether a node accepted;
+// shed/unreachable nodes are stepped over.
 func (c *Coordinator) place(j *coordJob, exclude string) bool {
-	ranked := c.placementOrder(j.routeKey)
-	for i, node := range ranked {
+	for i, node := range Rank(j.routeKey, c.healthyNodes()) {
 		if node == exclude {
 			continue
 		}
 		status, body, err := c.postJob(node, j.rawSpec)
 		if err != nil {
-			// Node unreachable before the prober noticed: mark it down so
-			// subsequent placements skip it immediately.
+			// Node unreachable or stalled past rpcTimeout before the
+			// prober noticed: mark it down so subsequent placements skip
+			// it immediately.
 			if ns := c.nodeState(node); ns != nil {
 				ns.healthy.Store(false)
 			}
@@ -423,7 +400,7 @@ func (c *Coordinator) place(j *coordJob, exclude string) bool {
 // monitor follows one job to its terminal state: it streams the owning
 // node's watch endpoint, mirrors every snapshot into the coordJob, and —
 // when the node dies mid-job — re-places the job on a surviving node
-// (bounded by MaxAttempts) or declares it failed. Exactly one monitor runs
+// (bounded by maxAttempts) or declares it failed. Exactly one monitor runs
 // per job; it is the only goroutine that marks the job terminal.
 func (c *Coordinator) monitor(j *coordJob) {
 	defer c.wg.Done()
@@ -459,7 +436,7 @@ func (c *Coordinator) monitor(j *coordJob) {
 			j.markTerminal("")
 			return
 		}
-		if attempts >= c.opts.MaxAttempts {
+		if attempts >= maxAttempts {
 			c.lost.Add(1)
 			j.markTerminal(fmt.Sprintf("node %s died and the job exhausted its %d placements", dead, attempts))
 			return

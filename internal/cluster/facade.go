@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-
-	"archcontest/internal/spec"
 )
 
 // Handler returns the coordinator's cluster-wide /v1/jobs facade. The
@@ -73,16 +71,8 @@ func (c *Coordinator) healthz(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (c *Coordinator) submit(w http.ResponseWriter, r *http.Request) {
-	body := http.MaxBytesReader(w, r.Body, 1<<20)
-	defer body.Close()
-	raw, err := io.ReadAll(body)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("reading body: %w", err))
-		return
-	}
-	sp, err := spec.Parse(raw)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	sp, ok := readSpec(w, r)
+	if !ok {
 		return
 	}
 	// Validate here so a bad spec is a crisp 422 from the coordinator, not
@@ -114,9 +104,14 @@ func (c *Coordinator) submit(w http.ResponseWriter, r *http.Request) {
 		routeKey: sp.RouteKey(),
 		done:     make(chan struct{}),
 	}
+	// Count the job under the draining check, before placement: a Drain
+	// that starts while this job is being placed must wait for it
+	// (locked by TestFacadeDrainWaitsForPlacement).
+	c.wg.Add(1)
 	c.mu.Unlock()
 
 	if !c.place(j, "") {
+		c.wg.Done()
 		c.rejected.Add(1)
 		writeShed(w, http.StatusServiceUnavailable, "1",
 			fmt.Errorf("cluster: no node accepted the job (all draining, saturated, or down)"))
@@ -127,7 +122,6 @@ func (c *Coordinator) submit(w http.ResponseWriter, r *http.Request) {
 	c.mu.Lock()
 	c.jobs[j.id] = j
 	c.order = append(c.order, j.id)
-	c.wg.Add(1)
 	c.mu.Unlock()
 	go c.monitor(j)
 
@@ -166,56 +160,13 @@ func (c *Coordinator) get(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, v)
 		return
 	}
-	c.watchFacade(w, r, j)
-}
-
-// watchFacade streams the coordinator's view of a job as NDJSON. It is
-// fed by the job's monitor, not by a node connection, so a node death
-// mid-stream doesn't break the client: the stream simply carries the
-// rerouted placements and is guaranteed to end with a terminal snapshot
-// (done, failed — including failed-by-node-loss — or cancelled). The
-// subscription is released when the client disconnects.
-func (c *Coordinator) watchFacade(w http.ResponseWriter, r *http.Request, j *coordJob) {
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	emit := func(v map[string]any) bool {
-		if err := enc.Encode(v); err != nil {
-			return false
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-		return true
-	}
+	// The stream is fed by the job's monitor, not by a node connection,
+	// so it carries a reroute across a node death and always ends with a
+	// terminal line (done, failed, including failed by node loss, or
+	// cancelled).
 	notify, release := j.subscribe()
 	defer release()
-	lastSeq := int64(-1)
-	for {
-		// view(true) embeds the result only on terminal snapshots.
-		v, seq, terminal := j.view(true)
-		if seq != lastSeq {
-			lastSeq = seq
-			if terminal {
-				emit(v)
-				return
-			}
-			if !emit(v) {
-				return
-			}
-		} else if terminal {
-			emit(v)
-			return
-		}
-		select {
-		case <-notify:
-		case <-j.done:
-			// Loop once more to emit the terminal snapshot.
-		case <-r.Context().Done():
-			return
-		}
-	}
+	watchStream(w, r, notify, j.done, func() (any, int64, bool) { return j.view(true) })
 }
 
 func (c *Coordinator) result(w http.ResponseWriter, r *http.Request) {

@@ -12,7 +12,8 @@ import (
 	"archcontest/internal/spec"
 )
 
-// FleetOptions shapes an in-process fleet.
+// FleetOptions shapes an in-process fleet. Its coordinator probes the
+// nodes every fleetProbeInterval.
 type FleetOptions struct {
 	// Workers is each node's concurrent-job bound (default 2).
 	Workers int
@@ -21,17 +22,15 @@ type FleetOptions struct {
 	// Parallelism bounds each node's per-campaign simulation fan-out
 	// (default 1: fleet tests measure scheduling, not simulation speed).
 	Parallelism int
-	// ProbeInterval is the coordinator's health-probe period (default
-	// 50ms: in-process fleets want fast failure detection).
-	ProbeInterval time.Duration
-	// RoundRobin selects the baseline router instead of cache-aware
-	// rendezvous routing.
-	RoundRobin bool
 	// SharedStore, if non-nil, backs every node's result cache with one
 	// shared blob store (the remote-tier topology). Nil gives every node
 	// its own private in-memory cache (the local-only topology).
 	SharedStore resultcache.Store
 }
+
+// fleetProbeInterval is the in-process coordinator's health-probe period,
+// short because in-process fleets want fast failure detection.
+const fleetProbeInterval = 50 * time.Millisecond
 
 // FleetNode is one in-process serve node.
 type FleetNode struct {
@@ -61,8 +60,8 @@ func (n *FleetNode) Shutdown(ctx context.Context) error {
 	return err
 }
 
-// Fleet is an in-process coordinator plus N nodes, the harness behind the
-// cluster load/fault tests and the repository benchmark's serve workload.
+// Fleet is an in-process coordinator plus N nodes, which the cluster tests
+// and the repository benchmark's serve workload start.
 type Fleet struct {
 	Coord    *Coordinator
 	CoordURL string
@@ -113,9 +112,6 @@ func StartFleet(n int, opts FleetOptions) (*Fleet, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("cluster: fleet needs at least one node")
 	}
-	if opts.ProbeInterval <= 0 {
-		opts.ProbeInterval = 50 * time.Millisecond
-	}
 	f := &Fleet{}
 	urls := make([]string, 0, n)
 	for i := 0; i < n; i++ {
@@ -127,11 +123,7 @@ func StartFleet(n int, opts FleetOptions) (*Fleet, error) {
 		f.Nodes = append(f.Nodes, node)
 		urls = append(urls, node.URL)
 	}
-	f.Coord = NewCoordinator(CoordOptions{
-		Nodes:         urls,
-		ProbeInterval: opts.ProbeInterval,
-		RoundRobin:    opts.RoundRobin,
-	})
+	f.Coord = NewCoordinator(CoordOptions{Nodes: urls, ProbeInterval: fleetProbeInterval})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		f.Close()

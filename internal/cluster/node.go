@@ -1,9 +1,7 @@
 package cluster
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 
 	"archcontest/internal/jobs"
@@ -94,16 +92,8 @@ func (a *nodeAPI) healthz(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (a *nodeAPI) submit(w http.ResponseWriter, r *http.Request) {
-	body := http.MaxBytesReader(w, r.Body, 1<<20)
-	defer body.Close()
-	raw, err := io.ReadAll(body)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("reading body: %w", err))
-		return
-	}
-	sp, err := spec.Parse(raw)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	sp, ok := readSpec(w, r)
+	if !ok {
 		return
 	}
 	j, err := a.runner.Submit(sp)
@@ -150,61 +140,17 @@ func (a *nodeAPI) get(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, view(j, true))
 		return
 	}
-	watchJob(w, r, j)
-}
-
-// watchJob streams NDJSON snapshots whenever the job's sequence counter
-// advances, ending with a final snapshot embedding the result (including
-// the archcontest-obs-v1 metrics for recorded jobs).
-//
-// The stream is subscription-driven, not polled: the handler sleeps on the
-// job's notification channel and wakes only when something changed. The
-// subscription is released on every exit path — in particular when the
-// client disconnects (request context done) mid-stream — so an abandoned
-// watch never keeps writing into a dead connection and never leaks its
-// watcher registration (locked by TestNodeWatchDisconnectReleases).
-func watchJob(w http.ResponseWriter, r *http.Request, j *jobs.Job) {
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	emit := func(v jobView) bool {
-		if err := enc.Encode(v); err != nil {
-			return false
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-		return true
-	}
+	// Lines carry no result until the terminal one, which embeds it
+	// (including the archcontest-obs-v1 metrics of recorded jobs).
 	notify, release := j.Subscribe()
 	defer release()
-	lastSeq := int64(-1)
-	for {
+	watchStream(w, r, notify, j.Done(), func() (any, int64, bool) {
 		snap := j.Snapshot()
-		if snap.Seq != lastSeq {
-			lastSeq = snap.Seq
-			if snap.State.Terminal() {
-				emit(view(j, true))
-				return
-			}
-			if !emit(jobView{Snapshot: snap}) {
-				return
-			}
-		} else if snap.State.Terminal() {
-			emit(view(j, true))
-			return
+		if snap.State.Terminal() {
+			return view(j, true), snap.Seq, true
 		}
-		select {
-		case <-notify:
-		case <-j.Done():
-			// Loop once more to emit the terminal snapshot.
-		case <-r.Context().Done():
-			// Client went away: release the watcher (deferred) and stop
-			// instead of writing to a dead connection.
-			return
-		}
-	}
+		return jobView{Snapshot: snap}, snap.Seq, false
+	})
 }
 
 func (a *nodeAPI) result(w http.ResponseWriter, r *http.Request) {

@@ -321,50 +321,84 @@ func TestNodeBackpressure(t *testing.T) {
 
 // TestNodeWatchDisconnectReleases is the regression test for the watch
 // leak: a ?watch=1 stream whose client disconnects mid-job must notice the
-// closed connection and release its watcher subscription — it must not
-// stay parked until the job ends.
+// closed connection and release its subscription — it must not stay
+// parked until the job ends. The node and the coordinator facade share the
+// stream loop, and each leg counts its own job's subscriptions.
 func TestNodeWatchDisconnectReleases(t *testing.T) {
-	srv, runner := newTestNode(t, 1, NodeOptions{})
-	code, v := post(t, srv.URL+"/v1/jobs", `{"kind":"run","bench":"mcf","cores":["mcf"],"n":8000000}`)
-	if code != http.StatusAccepted {
-		t.Fatalf("submit: %d %v", code, v)
-	}
-	id := v["id"].(string)
-	j, ok := runner.Get(id)
-	if !ok {
-		t.Fatalf("runner lost job %s", id)
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	req, _ := http.NewRequestWithContext(ctx, http.MethodGet, srv.URL+"/v1/jobs/"+id+"?watch=1", nil)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Read one snapshot so the stream is demonstrably established, then
-	// drop the connection while the job is still running.
-	sc := bufio.NewScanner(resp.Body)
-	if !sc.Scan() {
-		t.Fatal("no first snapshot before disconnect")
-	}
-	if got := j.Watchers(); got != 1 {
-		t.Fatalf("watchers after connect = %d, want 1", got)
-	}
-	cancel()
-	resp.Body.Close()
-
-	deadline := time.Now().Add(5 * time.Second)
-	for j.Watchers() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("watcher not released %v after client disconnect (still %d registered)",
-				5*time.Second, j.Watchers())
+	submitLong := func(t *testing.T, base string) string {
+		t.Helper()
+		code, v := post(t, base+"/v1/jobs", `{"kind":"run","bench":"mcf","cores":["mcf"],"n":8000000}`)
+		if code != http.StatusAccepted {
+			t.Fatalf("submit: %d %v", code, v)
 		}
-		time.Sleep(5 * time.Millisecond)
+		return v["id"].(string)
 	}
-	// The job itself must be unaffected by the abandoned watch.
-	if s := j.Snapshot(); s.State.Terminal() {
-		t.Fatalf("job reached %s during the watch; raise n so disconnect happens mid-run", s.State)
+	legs := []struct {
+		name string
+		// start submits a long job and returns its URL, its live
+		// subscription count and whether it is still running.
+		start func(t *testing.T) (url string, watchers func() int, running func() bool)
+	}{
+		{"node", func(t *testing.T) (string, func() int, func() bool) {
+			srv, runner := newTestNode(t, 1, NodeOptions{})
+			id := submitLong(t, srv.URL)
+			j, ok := runner.Get(id)
+			if !ok {
+				t.Fatalf("runner lost job %s", id)
+			}
+			t.Cleanup(func() {
+				j.Cancel()
+				<-j.Done()
+			})
+			return srv.URL + "/v1/jobs/" + id, j.Watchers, func() bool { return !j.Snapshot().State.Terminal() }
+		}},
+		{"facade", func(t *testing.T) (string, func() int, func() bool) {
+			f := startTestFleet(t, 1, FleetOptions{Workers: 1})
+			id := submitLong(t, f.CoordURL)
+			f.Coord.mu.Lock()
+			j := f.Coord.jobs[id]
+			f.Coord.mu.Unlock()
+			watchers := func() int {
+				j.mu.Lock()
+				defer j.mu.Unlock()
+				return len(j.subs)
+			}
+			return f.CoordURL + "/v1/jobs/" + id, watchers, func() bool { return !j.isTerminal() }
+		}},
 	}
-	j.Cancel()
-	<-j.Done()
+	for _, leg := range legs {
+		t.Run(leg.name, func(t *testing.T) {
+			url, watchers, running := leg.start(t)
+			ctx, cancel := context.WithCancel(context.Background())
+			req, _ := http.NewRequestWithContext(ctx, http.MethodGet, url+"?watch=1", nil)
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Read one snapshot so the stream is demonstrably established,
+			// then drop the connection while the job is still running.
+			sc := bufio.NewScanner(resp.Body)
+			if !sc.Scan() {
+				t.Fatal("no first snapshot before disconnect")
+			}
+			if got := watchers(); got != 1 {
+				t.Fatalf("watchers after connect = %d, want 1", got)
+			}
+			cancel()
+			resp.Body.Close()
+
+			deadline := time.Now().Add(5 * time.Second)
+			for watchers() != 0 {
+				if time.Now().After(deadline) {
+					t.Fatalf("watcher not released %v after client disconnect (still %d registered)",
+						5*time.Second, watchers())
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+			// The job itself must be unaffected by the abandoned watch.
+			if !running() {
+				t.Fatal("job ended during the watch; raise n so disconnect happens mid-run")
+			}
+		})
+	}
 }

@@ -81,11 +81,9 @@ var (
 type Options struct {
 	// Seed drives the annealing schedule deterministically.
 	Seed uint64
-	// Steps is the number of annealing moves (default 200).
+	// Steps is the number of annealing moves (default 200). The
+	// temperature cools geometrically from hotTemp to coldTemp over them.
 	Steps int
-	// StartTemp and EndTemp bound the geometric cooling schedule, in
-	// relative objective units (defaults 0.10 and 0.005).
-	StartTemp, EndTemp float64
 	// Lookahead is the speculative batch size K: how many candidate
 	// neighbors are drawn and evaluated concurrently per round (default 1,
 	// the sequential annealer). Any value produces the identical
@@ -137,15 +135,16 @@ type Options struct {
 // begin to rule out candidates the detailed engine would have accepted.
 const DefaultFastMargin = 0.10
 
+// hotTemp and coldTemp bound the annealer's geometric cooling schedule and
+// the tempering ladder, in relative objective units.
+const (
+	hotTemp  = 0.10
+	coldTemp = 0.005
+)
+
 func (o *Options) applyDefaults() {
 	if o.Steps == 0 {
 		o.Steps = 200
-	}
-	if o.StartTemp == 0 {
-		o.StartTemp = 0.10
-	}
-	if o.EndTemp == 0 {
-		o.EndTemp = 0.005
 	}
 	if o.Lookahead <= 0 {
 		o.Lookahead = 1
@@ -425,8 +424,10 @@ func Customize(ctx context.Context, tr *trace.Trace, opts Options) (Result, erro
 		}
 	}
 
-	cool := math.Pow(opts.EndTemp/opts.StartTemp, 1/math.Max(1, float64(opts.Steps-1)))
-	temp := opts.StartTemp
+	// Divide at run time: as a constant expression coldTemp/hotTemp folds
+	// to exactly 0.05, not the float64 quotient 0.049999999999999996.
+	temp, end := float64(hotTemp), float64(coldTemp)
+	cool := math.Pow(end/temp, 1/math.Max(1, float64(opts.Steps-1)))
 
 	type candidate struct {
 		st       state

@@ -27,12 +27,9 @@ type TemperingOptions struct {
 	// per chain (default 200).
 	Steps int
 	// ExchangeEvery is the round interval between replica-exchange sweeps
-	// (default 10).
+	// (default 10). The chains' temperatures form a geometric ladder from
+	// coldTemp (chain 0) to hotTemp.
 	ExchangeEvery int
-	// ColdTemp and HotTemp bound the geometric temperature ladder, in the
-	// annealer's relative objective units (defaults 0.005 and 0.10; chain
-	// 0 is coldest).
-	ColdTemp, HotTemp float64
 	// Parallelism bounds concurrent candidate evaluations (default NumCPU).
 	Parallelism int
 	// Cache, if non-nil, memoizes design-point evaluations.
@@ -63,12 +60,6 @@ func (o *TemperingOptions) applyDefaults() {
 	}
 	if o.ExchangeEvery <= 0 {
 		o.ExchangeEvery = 10
-	}
-	if o.ColdTemp == 0 {
-		o.ColdTemp = 0.005
-	}
-	if o.HotTemp == 0 {
-		o.HotTemp = 0.10
 	}
 	if o.Parallelism <= 0 {
 		o.Parallelism = 0 // resolved by forEach callers below
@@ -103,10 +94,10 @@ func Temper(ctx context.Context, tr *trace.Trace, opts TemperingOptions) (Result
 	temps := make([]float64, m)
 	for i := range temps {
 		if m == 1 {
-			temps[i] = opts.ColdTemp
+			temps[i] = coldTemp
 			continue
 		}
-		temps[i] = opts.ColdTemp * math.Pow(opts.HotTemp/opts.ColdTemp, float64(i)/float64(m-1))
+		temps[i] = coldTemp * math.Pow(hotTemp/coldTemp, float64(i)/float64(m-1))
 	}
 
 	ev := newEvaluator(tr, opts.Cache, opts.Log)
