@@ -22,20 +22,18 @@ func AblationStoreQueue(ctx context.Context, l *Lab) (*Table, error) {
 		Title: "contest IPT of each benchmark's best pair vs store queue capacity",
 	}
 	t.Header = []string{"benchmark"}
-	for _, c := range caps {
+	opts := make([]contest.Options, len(caps))
+	for i, c := range caps {
 		t.Header = append(t.Header, fmt.Sprintf("cap %d", c))
+		opts[i] = contest.Options{StoreQueueCap: c}
 	}
-	for _, bench := range ablationBenches {
-		best, err := l.BestPair(ctx, bench)
-		if err != nil {
-			return nil, err
-		}
+	sweep, err := l.bestPairSweep(ctx, ablationBenches, opts)
+	if err != nil {
+		return nil, err
+	}
+	for b, bench := range ablationBenches {
 		row := []string{bench}
-		for _, c := range caps {
-			r, err := l.Contest(ctx, bench, best.Cores, contest.Options{StoreQueueCap: c})
-			if err != nil {
-				return nil, err
-			}
+		for _, r := range sweep[b] {
 			row = append(row, f2(r.IPT()))
 		}
 		t.AddRow(row...)
@@ -55,20 +53,18 @@ func AblationMaxLag(ctx context.Context, l *Lab) (*Table, error) {
 		Title: "contest IPT and saturation vs result-FIFO capacity (MaxLag)",
 	}
 	t.Header = []string{"benchmark"}
-	for _, lag := range lags {
+	opts := make([]contest.Options, len(lags))
+	for i, lag := range lags {
 		t.Header = append(t.Header, fmt.Sprintf("lag %d", lag), "saturated")
+		opts[i] = contest.Options{MaxLag: lag}
 	}
-	for _, bench := range ablationBenches {
-		best, err := l.BestPair(ctx, bench)
-		if err != nil {
-			return nil, err
-		}
+	sweep, err := l.bestPairSweep(ctx, ablationBenches, opts)
+	if err != nil {
+		return nil, err
+	}
+	for b, bench := range ablationBenches {
 		row := []string{bench}
-		for _, lag := range lags {
-			r, err := l.Contest(ctx, bench, best.Cores, contest.Options{MaxLag: lag})
-			if err != nil {
-				return nil, err
-			}
+		for _, r := range sweep[b] {
 			sat := "-"
 			for i, s := range r.Saturated {
 				if s {
@@ -95,19 +91,12 @@ func AblationTrainOnInject(ctx context.Context, l *Lab) (*Table, error) {
 		Title:  "contest IPT with and without training the trailing core's predictor",
 		Header: []string{"benchmark", "train (default)", "no train", "delta"},
 	}
-	for _, bench := range ablationBenches {
-		best, err := l.BestPair(ctx, bench)
-		if err != nil {
-			return nil, err
-		}
-		on, err := l.Contest(ctx, bench, best.Cores, contest.Options{})
-		if err != nil {
-			return nil, err
-		}
-		off, err := l.Contest(ctx, bench, best.Cores, contest.Options{NoTrainOnInject: true})
-		if err != nil {
-			return nil, err
-		}
+	sweep, err := l.bestPairSweep(ctx, ablationBenches, []contest.Options{{}, {NoTrainOnInject: true}})
+	if err != nil {
+		return nil, err
+	}
+	for b, bench := range ablationBenches {
+		on, off := sweep[b][0], sweep[b][1]
 		t.AddRow(bench, f2(on.IPT()), f2(off.IPT()), pct(off.IPT()/on.IPT()-1))
 	}
 	t.AddNote("training keeps a trailing core's predictor warm for the moment it takes the lead")

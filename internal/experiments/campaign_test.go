@@ -6,10 +6,12 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"archcontest/internal/obs"
 	"archcontest/internal/resultcache"
 )
 
@@ -227,22 +229,101 @@ func TestNegativeParallelismMeansNumCPU(t *testing.T) {
 	}
 }
 
-// Campaign results must not depend on the parallelism level.
+// Campaign results must not depend on the parallelism level: every
+// experiment renders the same table, and the matrix holds the same IPTs, on
+// a sequential Lab and a four-worker one.
 func TestParallelismIndependence(t *testing.T) {
 	if testing.Short() {
-		t.Skip("two matrix campaigns in short mode")
+		t.Skip("two full campaigns in short mode")
 	}
+	ctx := context.Background()
 	seq := NewLab(Config{N: 12_000, Parallelism: 1})
-	par := NewLab(Config{N: 12_000, Parallelism: 8})
-	ms, err := seq.Matrix(context.Background())
+	par := NewLab(Config{N: 12_000, Parallelism: 4})
+	for _, id := range RegistryOrder {
+		ts, err := Registry[id](ctx, seq)
+		if err != nil {
+			t.Fatalf("%s at parallelism 1: %v", id, err)
+		}
+		tp, err := Registry[id](ctx, par)
+		if err != nil {
+			t.Fatalf("%s at parallelism 4: %v", id, err)
+		}
+		if ts.String() != tp.String() {
+			t.Errorf("%s depends on parallelism level:\n%s\nvs\n%s", id, ts, tp)
+		}
+	}
+	ms, err := seq.Matrix(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mp, err := par.Matrix(context.Background())
+	mp, err := par.Matrix(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(ms.IPT, mp.IPT) {
 		t.Error("matrix depends on parallelism level")
+	}
+}
+
+// Every experiment hands its whole leaf list to the pool: on a two-slot Lab,
+// each experiment that executes two or more runs or contests has two of them
+// in flight at once.
+func TestExperimentsFanOut(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		t.Skip("leaves cannot overlap on one CPU")
+	}
+	log := obs.NewArtifactLog()
+	l := NewLab(Config{N: 12_000, CandidatePairs: 2, Parallelism: 2, Artifacts: log})
+	for _, id := range RegistryOrder {
+		before := len(log.Spans())
+		if _, err := Registry[id](context.Background(), l); err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		var leaves []obs.Span
+		for _, sp := range log.Spans()[before:] {
+			if sp.Kind == "run" || sp.Kind == "contest" {
+				leaves = append(leaves, sp)
+			}
+		}
+		if len(leaves) >= 2 && !overlap(leaves) {
+			t.Errorf("%s executed its %d leaves one at a time", id, len(leaves))
+		}
+	}
+}
+
+// overlap reports whether any two spans are in flight at the same time.
+func overlap(spans []obs.Span) bool {
+	sort.Slice(spans, func(i, j int) bool { return spans[i].Start.Before(spans[j].Start) })
+	end := spans[0].End
+	for _, sp := range spans[1:] {
+		if sp.Start.Before(end) {
+			return true
+		}
+		if sp.End.After(end) {
+			end = sp.End
+		}
+	}
+	return false
+}
+
+// Predictors' gshare legs are the matrix's own-core runs (region logging
+// changes no statistic), so after Matrix it executes only its five TAGE runs
+// and five contests.
+func TestPredictorsReuseMatrixLeaves(t *testing.T) {
+	ctx := context.Background()
+	l := NewLab(Config{N: 12_000})
+	if _, err := l.Matrix(ctx); err != nil {
+		t.Fatal(err)
+	}
+	before := l.CampaignStats()
+	if _, err := Predictors(ctx, l); err != nil {
+		t.Fatal(err)
+	}
+	after := l.CampaignStats()
+	if sims := after.Simulations - before.Simulations; sims != 5 {
+		t.Errorf("Predictors executed %d simulations after Matrix, want 5 (the TAGE legs)", sims)
+	}
+	if contests := after.Contests - before.Contests; contests != 5 {
+		t.Errorf("Predictors executed %d contests, want 5", contests)
 	}
 }

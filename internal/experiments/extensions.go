@@ -29,15 +29,17 @@ func Migration(ctx context.Context, l *Lab) (*Table, error) {
 		t.Header = append(t.Header, fmt.Sprintf("mig@%d", g))
 	}
 	t.Header = append(t.Header, "contesting")
-	for _, bench := range []string{"bzip", "gcc", "twolf", "gzip"} {
+	benches := []string{"bzip", "gcc", "twolf", "gzip"}
+	bests, err := l.bestPairs(ctx, benches)
+	if err != nil {
+		return nil, err
+	}
+	for b, bench := range benches {
 		own, err := l.OwnCoreIPT(ctx, bench)
 		if err != nil {
 			return nil, err
 		}
-		best, err := l.BestPair(ctx, bench)
-		if err != nil {
-			return nil, err
-		}
+		best := bests[b]
 		runs, err := l.Runs(ctx, bench)
 		if err != nil {
 			return nil, err
@@ -79,7 +81,12 @@ func Power(ctx context.Context, l *Lab) (*Table, error) {
 		Header: []string{"benchmark", "own mJ", "own W", "contest mJ", "contest W",
 			"energy ratio", "speedup", "EDP ratio"},
 	}
-	for _, bench := range []string{"bzip", "gcc", "twolf", "crafty"} {
+	benches := []string{"bzip", "gcc", "twolf", "crafty"}
+	bests, err := l.bestPairs(ctx, benches)
+	if err != nil {
+		return nil, err
+	}
+	for b, bench := range benches {
 		runs, err := l.Runs(ctx, bench)
 		if err != nil {
 			return nil, err
@@ -92,10 +99,7 @@ func Power(ctx context.Context, l *Lab) (*Table, error) {
 			}
 		}
 		eo := power.SingleRun(ownCfg, ownRun)
-		best, err := l.BestPair(ctx, bench)
-		if err != nil {
-			return nil, err
-		}
+		best := bests[b]
 		cfgs := []config.CoreConfig{
 			config.MustPaletteCore(best.Cores[0]),
 			config.MustPaletteCore(best.Cores[1]),
@@ -126,27 +130,31 @@ func NWay(ctx context.Context, l *Lab) (*Table, error) {
 		return nil, err
 	}
 	third := m.CoreNames(d.HetD)
-	for _, bench := range []string{"bzip", "gcc", "twolf", "gzip"} {
-		own, err := l.OwnCoreIPT(ctx, bench)
-		if err != nil {
-			return nil, err
-		}
-		best, err := l.BestPair(ctx, bench)
-		if err != nil {
-			return nil, err
-		}
+	benches := []string{"bzip", "gcc", "twolf", "gzip"}
+	bests, err := l.bestPairs(ctx, benches)
+	if err != nil {
+		return nil, err
+	}
+	r3s, err := gather(ctx, l, len(benches), func(b int) (contest.Result, error) {
 		// Add the first HET-D core type not already in the pair.
-		cores := append([]string(nil), best.Cores...)
+		cores := append([]string(nil), bests[b].Cores...)
 		for _, c := range third {
 			if c != cores[0] && c != cores[1] {
 				cores = append(cores, c)
 				break
 			}
 		}
-		r3, err := l.Contest(ctx, bench, cores, contest.Options{})
+		return l.Contest(ctx, benches[b], cores, contest.Options{})
+	})
+	if err != nil {
+		return nil, err
+	}
+	for b, bench := range benches {
+		own, err := l.OwnCoreIPT(ctx, bench)
 		if err != nil {
 			return nil, err
 		}
+		r3 := r3s[b]
 		sat := "-"
 		for i, s := range r3.Saturated {
 			if s {
@@ -156,7 +164,7 @@ func NWay(ctx context.Context, l *Lab) (*Table, error) {
 				sat += r3.Cores[i] + " "
 			}
 		}
-		t.AddRow(bench, f2(own), f2(best.IPT()), f2(r3.IPT()), fmt.Sprint(cores), sat)
+		t.AddRow(bench, f2(own), f2(bests[b].IPT()), f2(r3.IPT()), fmt.Sprint(r3.Cores), sat)
 	}
 	t.AddNote("a third core helps only when it wins regions neither pair member wins; its GRB traffic is otherwise free performance-wise but costs energy")
 	return t, nil
@@ -172,25 +180,21 @@ func Exceptions(ctx context.Context, l *Lab) (*Table, error) {
 		Title: "contest IPT vs synchronous-exception rate, parallelized handler vs terminate-and-refork",
 	}
 	t.Header = []string{"benchmark", "no exceptions"}
+	opts := []contest.Options{{}}
 	for _, iv := range intervals {
 		t.Header = append(t.Header, fmt.Sprintf("par@%d", iv), fmt.Sprintf("refork@%d", iv))
+		opts = append(opts, contest.Options{ExceptionEvery: iv},
+			contest.Options{ExceptionEvery: iv, ExceptionKillRefork: true})
 	}
-	for _, bench := range []string{"gcc", "twolf"} {
-		best, err := l.BestPair(ctx, bench)
-		if err != nil {
-			return nil, err
-		}
-		row := []string{bench, f2(best.IPT())}
-		for _, iv := range intervals {
-			par, err := l.Contest(ctx, bench, best.Cores, contest.Options{ExceptionEvery: iv})
-			if err != nil {
-				return nil, err
-			}
-			ref, err := l.Contest(ctx, bench, best.Cores, contest.Options{ExceptionEvery: iv, ExceptionKillRefork: true})
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, f2(par.IPT()), f2(ref.IPT()))
+	benches := []string{"gcc", "twolf"}
+	sweep, err := l.bestPairSweep(ctx, benches, opts)
+	if err != nil {
+		return nil, err
+	}
+	for b, bench := range benches {
+		row := []string{bench}
+		for _, r := range sweep[b] {
+			row = append(row, f2(r.IPT()))
 		}
 		t.AddRow(row...)
 	}

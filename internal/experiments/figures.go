@@ -62,6 +62,9 @@ func Figure1(ctx context.Context, l *Lab) (*Table, error) {
 		points map[int]float64
 		finest string
 	}
+	if _, err := l.Matrix(ctx); err != nil {
+		return nil, err
+	}
 	var all []series
 	var grans []int
 	for _, bench := range l.Benchmarks() {
@@ -138,17 +141,19 @@ func Figure6(ctx context.Context, l *Lab) (*Table, error) {
 		Title:  "IPT of 2-way contesting vs own customized core (1ns core-to-core latency)",
 		Header: []string{"benchmark", "own core IPT", "contest IPT", "contested pair", "speedup", "lead changes"},
 	}
+	benches := l.Benchmarks()
+	bests, err := l.bestPairs(ctx, benches)
+	if err != nil {
+		return nil, err
+	}
 	var sum, max float64
 	maxBench := ""
-	for _, bench := range l.Benchmarks() {
+	for b, bench := range benches {
 		own, err := l.OwnCoreIPT(ctx, bench)
 		if err != nil {
 			return nil, err
 		}
-		best, err := l.BestPair(ctx, bench)
-		if err != nil {
-			return nil, err
-		}
+		best := bests[b]
 		sp := best.IPT()/own - 1
 		sum += sp
 		if sp > max {
@@ -158,7 +163,7 @@ func Figure6(ctx context.Context, l *Lab) (*Table, error) {
 			fmt.Sprintf("%s+%s", best.Cores[0], best.Cores[1]), pct(sp),
 			fmt.Sprintf("%d", best.LeadChanges))
 	}
-	n := float64(len(l.Benchmarks()))
+	n := float64(len(benches))
 	t.AddNote("average speedup %s, maximum %s (%s); paper: average 15%%, maximum 25%% (gcc)",
 		pct(sum/n), pct(max), maxBench)
 	return t, nil
@@ -174,28 +179,30 @@ func Figure7(ctx context.Context, l *Lab) (*Table, error) {
 		Title:  "contribution of L2 heterogeneity to the contesting speedup",
 		Header: []string{"benchmark", "full heterogeneity", "L2-only", "L2 share"},
 	}
-	for _, bench := range l.Benchmarks() {
+	benches := l.Benchmarks()
+	bests, err := l.bestPairs(ctx, benches)
+	if err != nil {
+		return nil, err
+	}
+	// Trial 2b+k contests benchmark b's best pair core k against a copy of
+	// itself that has the other core's L2.
+	trials, err := gather(ctx, l, 2*len(benches), func(i int) (contest.Result, error) {
+		cores := bests[i/2].Cores
+		self := config.MustPaletteCore(cores[i%2])
+		other := config.MustPaletteCore(cores[1-i%2])
+		return l.ContestConfigs(ctx, benches[i/2], []config.CoreConfig{self, self.WithL2(other)}, contest.Options{})
+	})
+	if err != nil {
+		return nil, err
+	}
+	for b, bench := range benches {
 		own, err := l.OwnCoreIPT(ctx, bench)
 		if err != nil {
 			return nil, err
 		}
-		best, err := l.BestPair(ctx, bench)
-		if err != nil {
-			return nil, err
-		}
-		full := best.IPT()/own - 1
-		a := config.MustPaletteCore(best.Cores[0])
-		b := config.MustPaletteCore(best.Cores[1])
-		trials := [][2]config.CoreConfig{
-			{a, a.WithL2(b)},
-			{b, b.WithL2(a)},
-		}
+		full := bests[b].IPT()/own - 1
 		l2Best := 0.0
-		for _, pair := range trials {
-			r, err := l.ContestConfigs(ctx, bench, pair[:], contest.Options{})
-			if err != nil {
-				return nil, err
-			}
+		for _, r := range trials[2*b : 2*b+2] {
 			if sp := r.IPT()/own - 1; sp > l2Best {
 				l2Best = sp
 			}
@@ -225,30 +232,23 @@ func Figure8(ctx context.Context, l *Lab) (*Table, error) {
 	for _, lat := range latencies {
 		t.Header = append(t.Header, fmt.Sprintf("%gns", lat))
 	}
+	opts := make([]contest.Options, len(latencies))
+	for i, lat := range latencies {
+		opts[i] = contest.Options{LatencyNs: lat}
+	}
+	sweep, err := l.bestPairSweep(ctx, l.Benchmarks(), opts)
+	if err != nil {
+		return nil, err
+	}
 	avg := make([]float64, len(latencies))
-	for _, bench := range l.Benchmarks() {
+	for b, bench := range l.Benchmarks() {
 		own, err := l.OwnCoreIPT(ctx, bench)
 		if err != nil {
 			return nil, err
 		}
-		best, err := l.BestPair(ctx, bench)
-		if err != nil {
-			return nil, err
-		}
 		row := []string{bench}
-		sps := make([]float64, len(latencies))
-		err = l.parallel(ctx, len(latencies), func(i int) error {
-			r, err := l.Contest(ctx, bench, best.Cores, contest.Options{LatencyNs: latencies[i]})
-			if err != nil {
-				return err
-			}
-			sps[i] = r.IPT()/own - 1
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		for i, sp := range sps {
+		for i, r := range sweep[b] {
+			sp := r.IPT()/own - 1
 			row = append(row, pct(sp))
 			avg[i] += sp
 		}
@@ -345,14 +345,8 @@ func contestedDesign(ctx context.Context, l *Lab, id string, pick func(merit.Pap
 			"contest speedup", "saturated"},
 	}
 	benches := l.Benchmarks()
-	contests := make([]contest.Result, len(benches))
-	err = l.parallel(ctx, len(benches), func(i int) error {
-		r, err := l.Contest(ctx, benches[i], pair, contest.Options{})
-		if err != nil {
-			return err
-		}
-		contests[i] = r
-		return nil
+	contests, err := gather(ctx, l, len(benches), func(i int) (contest.Result, error) {
+		return l.Contest(ctx, benches[i], pair, contest.Options{})
 	})
 	if err != nil {
 		return nil, err
@@ -427,14 +421,8 @@ func Figure13(ctx context.Context, l *Lab) (*Table, error) {
 		Header: []string{"benchmark", "HET-C contest", "HET-D no-contest", "HET-ALL own-core"},
 	}
 	benches := l.Benchmarks()
-	contests := make([]contest.Result, len(benches))
-	err = l.parallel(ctx, len(benches), func(i int) error {
-		r, err := l.Contest(ctx, benches[i], pair, contest.Options{})
-		if err != nil {
-			return err
-		}
-		contests[i] = r
-		return nil
+	contests, err := gather(ctx, l, len(benches), func(i int) (contest.Result, error) {
+		return l.Contest(ctx, benches[i], pair, contest.Options{})
 	})
 	if err != nil {
 		return nil, err

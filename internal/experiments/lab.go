@@ -272,6 +272,23 @@ func (l *Lab) parallel(ctx context.Context, n int, fn func(i int) error) error {
 	return nil
 }
 
+// gather runs fn(i) for i in [0, n) on parallel's worker pool and returns
+// the values in index order, or the lowest-indexed error. An experiment
+// hands its whole leaf list to one gather and builds its table from the
+// results in declared order, so the pool sees every leaf at once. Nested
+// gathers cannot deadlock: only leaves hold pool slots.
+func gather[T any](ctx context.Context, l *Lab, n int, fn func(i int) (T, error)) ([]T, error) {
+	out := make([]T, n)
+	err := l.parallel(ctx, n, func(i int) (err error) {
+		out[i], err = fn(i)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
 // Trace returns (generating and caching) the benchmark's trace.
 func (l *Lab) Trace(ctx context.Context, bench string) (*trace.Trace, error) {
 	v, err := l.flight.do(ctx, "trace/"+bench, func() (any, error) {
@@ -347,19 +364,9 @@ func (l *Lab) countLookup(hit bool) {
 // the write-back policy (stand-alone, non-contesting mode).
 func (l *Lab) Runs(ctx context.Context, bench string) ([]sim.Result, error) {
 	v, err := l.flight.do(ctx, "runs/"+bench, func() (any, error) {
-		rs := make([]sim.Result, len(l.cores))
-		err := l.parallel(ctx, len(l.cores), func(i int) error {
-			r, err := l.RunOn(ctx, bench, l.cores[i], sim.RunOptions{LogRegions: true})
-			if err != nil {
-				return err
-			}
-			rs[i] = r
-			return nil
+		return gather(ctx, l, len(l.cores), func(i int) (sim.Result, error) {
+			return l.RunOn(ctx, bench, l.cores[i], sim.RunOptions{LogRegions: true})
 		})
-		if err != nil {
-			return nil, err
-		}
-		return rs, nil
 	})
 	if err != nil {
 		return nil, err
@@ -378,18 +385,16 @@ func (l *Lab) Matrix(ctx context.Context) (*merit.Matrix, error) {
 			names[i] = c.Name
 		}
 		m := merit.NewMatrix(l.benches, names)
-		err := l.parallel(ctx, len(l.benches), func(b int) error {
-			rs, err := l.Runs(ctx, l.benches[b])
-			if err != nil {
-				return err
-			}
-			for c, r := range rs {
-				m.IPT[b][c] = r.IPT()
-			}
-			return nil
+		runs, err := gather(ctx, l, len(l.benches), func(b int) ([]sim.Result, error) {
+			return l.Runs(ctx, l.benches[b])
 		})
 		if err != nil {
 			return nil, err
+		}
+		for b, rs := range runs {
+			for c, r := range rs {
+				m.IPT[b][c] = r.IPT()
+			}
 		}
 		if err := m.Validate(); err != nil {
 			return nil, err
@@ -476,19 +481,9 @@ func (l *Lab) ContestConfigs(ctx context.Context, bench string, cfgs []config.Co
 // workers. The singleflight computes each unique configuration once:
 // duplicates share, and memoized and cached results are served.
 func (l *Lab) ContestsConfigs(ctx context.Context, bench string, cfgsList [][]config.CoreConfig, opts contest.Options) ([]contest.Result, error) {
-	results := make([]contest.Result, len(cfgsList))
-	err := l.parallel(ctx, len(cfgsList), func(i int) error {
-		r, err := l.ContestConfigs(ctx, bench, cfgsList[i], opts)
-		if err != nil {
-			return err
-		}
-		results[i] = r
-		return nil
+	return gather(ctx, l, len(cfgsList), func(i int) (contest.Result, error) {
+		return l.ContestConfigs(ctx, bench, cfgsList[i], opts)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return results, nil
 }
 
 // BestPair finds (and caches) the benchmark's best 2-way contesting pair:
@@ -548,6 +543,36 @@ func (l *Lab) BestPair(ctx context.Context, bench string) (contest.Result, error
 		return contest.Result{}, err
 	}
 	return v.(contest.Result), nil
+}
+
+// bestPairs gathers the benchmarks' best pairs.
+func (l *Lab) bestPairs(ctx context.Context, benches []string) ([]contest.Result, error) {
+	return gather(ctx, l, len(benches), func(b int) (contest.Result, error) {
+		return l.BestPair(ctx, benches[b])
+	})
+}
+
+// bestPairSweep contests every benchmark's best pair under every option set,
+// indexed [bench][opts]. It gathers the best pairs, then all
+// len(benches)*len(opts) contests as one flat list. contest.Options{} is the
+// best pair's own leaf.
+func (l *Lab) bestPairSweep(ctx context.Context, benches []string, opts []contest.Options) ([][]contest.Result, error) {
+	best, err := l.bestPairs(ctx, benches)
+	if err != nil {
+		return nil, err
+	}
+	flat, err := gather(ctx, l, len(benches)*len(opts), func(i int) (contest.Result, error) {
+		b := i / len(opts)
+		return l.Contest(ctx, benches[b], best[b].Cores, opts[i%len(opts)])
+	})
+	if err != nil {
+		return nil, err
+	}
+	rows := make([][]contest.Result, len(benches))
+	for b := range rows {
+		rows[b] = flat[b*len(opts) : (b+1)*len(opts)]
+	}
+	return rows, nil
 }
 
 // OwnCoreIPT reports the benchmark's stand-alone IPT on its own customized

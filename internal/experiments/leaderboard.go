@@ -109,29 +109,20 @@ func LeaderboardRun(ctx context.Context, l *Lab, benches []string) (*Leaderboard
 	if len(benches) == 0 || len(combos) == 0 {
 		return nil, fmt.Errorf("experiments: leaderboard needs workloads and combos, got %d x %d", len(benches), len(combos))
 	}
-	type cell struct{ bench, combo int }
-	cells := make([]cell, 0, len(benches)*len(combos))
-	for b := range benches {
-		for c := range combos {
-			cells = append(cells, cell{b, c})
-		}
-	}
-	ipt := make([][]float64, len(benches))
-	for b := range ipt {
-		ipt[b] = make([]float64, len(combos))
-	}
-	err := l.parallel(ctx, len(cells), func(i int) error {
-		bench := benches[cells[i].bench]
-		cfg := combos[cells[i].combo].apply(config.MustPaletteCore(bench))
-		r, err := l.RunOn(ctx, bench, cfg, sim.RunOptions{})
+	flat, err := gather(ctx, l, len(benches)*len(combos), func(i int) (float64, error) {
+		bench, combo := benches[i/len(combos)], combos[i%len(combos)]
+		r, err := l.RunOn(ctx, bench, combo.apply(config.MustPaletteCore(bench)), sim.RunOptions{})
 		if err != nil {
-			return fmt.Errorf("leaderboard %s on %s: %w", combos[cells[i].combo], bench, err)
+			return 0, fmt.Errorf("leaderboard %s on %s: %w", combo, bench, err)
 		}
-		ipt[cells[i].bench][cells[i].combo] = r.IPT()
-		return nil
+		return r.IPT(), nil
 	})
 	if err != nil {
 		return nil, err
+	}
+	ipt := make([][]float64, len(benches))
+	for b := range ipt {
+		ipt[b] = flat[b*len(combos) : (b+1)*len(combos)]
 	}
 
 	// Per-workload rankings: 1-based rank by descending IPT, ties broken by
@@ -180,17 +171,16 @@ func LeaderboardRun(ctx context.Context, l *Lab, benches []string) (*Leaderboard
 	})
 
 	// Head-to-head: the workload's two best combos contest each other.
-	legs := make([]LeaderboardHeadToHead, len(benches))
-	err = l.parallel(ctx, len(benches), func(b int) error {
+	legs, err := gather(ctx, l, len(benches), func(b int) (LeaderboardHeadToHead, error) {
 		a, bb := top[b][0], top[b][1]
 		base := config.MustPaletteCore(benches[b])
 		r, err := l.ContestConfigs(ctx, benches[b],
 			[]config.CoreConfig{combos[a].apply(base), combos[bb].apply(base)}, contest.Options{})
 		if err != nil {
-			return fmt.Errorf("leaderboard head-to-head on %s: %w", benches[b], err)
+			return LeaderboardHeadToHead{}, fmt.Errorf("leaderboard head-to-head on %s: %w", benches[b], err)
 		}
 		best := ipt[b][a]
-		legs[b] = LeaderboardHeadToHead{
+		return LeaderboardHeadToHead{
 			Bench:       benches[b],
 			A:           combos[a].String(),
 			B:           combos[bb].String(),
@@ -198,8 +188,7 @@ func LeaderboardRun(ctx context.Context, l *Lab, benches []string) (*Leaderboard
 			BestSingle:  best,
 			Speedup:     r.IPT()/best - 1,
 			LeadChanges: r.LeadChanges,
-		}
-		return nil
+		}, nil
 	})
 	if err != nil {
 		return nil, err

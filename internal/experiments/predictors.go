@@ -25,34 +25,39 @@ func Predictors(ctx context.Context, l *Lab) (*Table, error) {
 			"TAGE speedup", "contest IPT", "contest vs best single"},
 	}
 	benches := []string{"bzip", "crafty", "gcc", "perl", "twolf"}
-	wins := 0
-	for _, bench := range benches {
+	// Leg 3b is benchmark b's gshare run, 3b+1 its TAGE run, 3b+2 their
+	// contest. The gshare leg logs regions, so it is the matrix's own-core
+	// leaf (logging changes no statistic).
+	type leg struct{ ipt, mispred float64 }
+	legs, err := gather(ctx, l, 3*len(benches), func(i int) (leg, error) {
+		bench := benches[i/3]
 		cfgG := config.MustPaletteCore(bench)
 		cfgT := cfgG
 		cfgT.Name = bench + "-tage"
 		cfgT.Predictor = branch.DefaultTAGEConfig()
-		rg, err := l.RunOn(ctx, bench, cfgG, sim.RunOptions{})
-		if err != nil {
-			return nil, err
+		if i%3 == 2 {
+			con, err := l.ContestConfigs(ctx, bench, []config.CoreConfig{cfgG, cfgT}, contest.Options{})
+			return leg{ipt: con.IPT()}, err
 		}
-		rt, err := l.RunOn(ctx, bench, cfgT, sim.RunOptions{})
-		if err != nil {
-			return nil, err
+		cfg, opts := cfgG, sim.RunOptions{LogRegions: true}
+		if i%3 == 1 {
+			cfg, opts = cfgT, sim.RunOptions{}
 		}
-		con, err := l.ContestConfigs(ctx, bench, []config.CoreConfig{cfgG, cfgT}, contest.Options{})
-		if err != nil {
-			return nil, err
-		}
-		if rt.IPT() > rg.IPT() {
+		r, err := l.RunOn(ctx, bench, cfg, opts)
+		return leg{r.IPT(), r.Stats.MispredictRate()}, err
+	})
+	if err != nil {
+		return nil, err
+	}
+	wins := 0
+	for b, bench := range benches {
+		rg, rt, con := legs[3*b], legs[3*b+1], legs[3*b+2]
+		if rt.ipt > rg.ipt {
 			wins++
 		}
-		best := rg.IPT()
-		if rt.IPT() > best {
-			best = rt.IPT()
-		}
-		t.AddRow(bench, f2(rg.IPT()), pct(rg.Stats.MispredictRate()),
-			f2(rt.IPT()), pct(rt.Stats.MispredictRate()),
-			pct(rt.IPT()/rg.IPT()-1), f2(con.IPT()), pct(con.IPT()/best-1))
+		best := max(rg.ipt, rt.ipt)
+		t.AddRow(bench, f2(rg.ipt), pct(rg.mispred), f2(rt.ipt), pct(rt.mispred),
+			pct(rt.ipt/rg.ipt-1), f2(con.ipt), pct(con.ipt/best-1))
 	}
 	t.AddNote("TAGE beats gshare stand-alone on %d/%d benchmarks; the contest of the two variants tracks the better predictor per phase", wins, len(benches))
 	t.AddNote("predictor-only heterogeneity: both contestants share every structural parameter, so any contest gain is behavioural")
@@ -83,41 +88,35 @@ func StateCost(ctx context.Context, l *Lab) (*Table, error) {
 	for _, w := range warmups {
 		t.Header = append(t.Header, fmt.Sprintf("warmup %gns", w))
 	}
-	for _, bench := range []string{"gcc", "twolf"} {
+	// Option set 0 is the exception-free best pair; then the warm sweep, then
+	// the cold one.
+	opts := []contest.Options{{}}
+	for _, cold := range []bool{false, true} {
+		for _, w := range warmups {
+			opts = append(opts, contest.Options{
+				ExceptionEvery:      every,
+				ExceptionKillRefork: true,
+				ReforkWarmupNs:      w,
+				ReforkColdPredictor: cold,
+				ReforkColdCaches:    cold,
+			})
+		}
+	}
+	benches := []string{"gcc", "twolf"}
+	sweep, err := l.bestPairSweep(ctx, benches, opts)
+	if err != nil {
+		return nil, err
+	}
+	for b, bench := range benches {
 		own, err := l.OwnCoreIPT(ctx, bench)
 		if err != nil {
 			return nil, err
 		}
-		best, err := l.BestPair(ctx, bench)
-		if err != nil {
-			return nil, err
-		}
-		for _, cold := range []bool{false, true} {
-			state := "warm"
-			if cold {
-				state = "cold"
-			}
-			row := []string{bench, state, pct(best.IPT()/own - 1)}
-			sps := make([]float64, len(warmups))
-			err = l.parallel(ctx, len(warmups), func(i int) error {
-				r, err := l.Contest(ctx, bench, best.Cores, contest.Options{
-					ExceptionEvery:      every,
-					ExceptionKillRefork: true,
-					ReforkWarmupNs:      warmups[i],
-					ReforkColdPredictor: cold,
-					ReforkColdCaches:    cold,
-				})
-				if err != nil {
-					return err
-				}
-				sps[i] = r.IPT()/own - 1
-				return nil
-			})
-			if err != nil {
-				return nil, err
-			}
+		for s, state := range []string{"warm", "cold"} {
+			row := []string{bench, state, pct(sweep[b][0].IPT()/own - 1)}
 			crossover := "none within the sweep"
-			for i, sp := range sps {
+			for i, r := range sweep[b][1+s*len(warmups) : 1+(s+1)*len(warmups)] {
+				sp := r.IPT()/own - 1
 				row = append(row, pct(sp))
 				if sp <= 0 && crossover == "none within the sweep" {
 					crossover = fmt.Sprintf("%gns", warmups[i])
