@@ -49,14 +49,6 @@ func FuzzPipeline(f *testing.F) {
 		if !reflect.DeepEqual(fast, slow) {
 			t.Errorf("event-driven diverges from single-step\nfast: %+v\nslow: %+v", fast, slow)
 		}
-
-		legacy, err := sim.Run(cfg, tr, sim.RunOptions{LegacySched: true, MaxCycles: 50_000_000})
-		if err != nil {
-			t.Fatalf("legacy-scheduler run failed: %v", err)
-		}
-		if !reflect.DeepEqual(fast, legacy) {
-			t.Errorf("bitmap scheduler diverges from legacy wake-list\nbitmap: %+v\nlegacy: %+v", fast, legacy)
-		}
 	})
 }
 
@@ -88,16 +80,6 @@ func FuzzContest(f *testing.F) {
 		}
 		if !reflect.DeepEqual(fast, slow) {
 			t.Errorf("event-driven diverges from single-step\nfast: %+v\nslow: %+v", fast, slow)
-		}
-
-		lopts := opts
-		lopts.LegacySched = true
-		legacy, err := contest.Run(cfgs, tr, lopts)
-		if err != nil {
-			t.Fatalf("legacy-scheduler contest failed: %v", err)
-		}
-		if !reflect.DeepEqual(fast, legacy) {
-			t.Errorf("bitmap scheduler diverges from legacy wake-list\nbitmap: %+v\nlegacy: %+v", fast, legacy)
 		}
 	})
 }

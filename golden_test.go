@@ -1,14 +1,15 @@
 package archcontest
 
 // Golden-equivalence tests for the event-driven engine: the fast-forward
-// path (wake-list issue, dead-cycle skipping, event-scheduled contests) must
-// reproduce the reference single-cycle/single-step semantics bit for bit —
-// every Stats counter, FinishTime, RegionTimes, winner, lead changes, and
-// saturation flags, across a grid of palette cores × workloads, stand-alone
-// and 2-, 3- and 4-way contested, under store-queue pressure, saturation,
-// and exception rendezvous. TestGoldenResultPin then pins the grid's
-// results themselves, so a change both schedulers share cannot move them
-// unnoticed.
+// path (dead-cycle skipping, event-scheduled contests) must reproduce the
+// reference single-cycle/single-step semantics bit for bit — every Stats
+// counter, FinishTime, RegionTimes, winner, lead changes, and saturation
+// flags, across a grid of palette cores × workloads, stand-alone and 2-,
+// 3- and 4-way contested, under store-queue pressure, saturation, and
+// exception rendezvous. Both paths share the issue scheduler, so
+// TestGoldenResultPin then pins the grid's results themselves: a change to
+// shared code, such as the scheduler's issue order or wake-up timing,
+// cannot move them unnoticed.
 
 import (
 	"crypto/sha256"

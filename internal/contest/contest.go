@@ -97,11 +97,6 @@ type Options struct {
 	// caches when an observer is attached, or the checks silently don't
 	// run.
 	Observer Observer `json:"-"`
-	// LegacySched selects the pre-rework heap-based ready queue on every
-	// core (see pipeline.Options.LegacySched). It is a test-only shim for
-	// the scheduler equivalence suite and must never enter a cache key:
-	// both schedulers produce bit-identical results by construction.
-	LegacySched bool `json:"-"`
 }
 
 // Observer observes a contested run for verification. Implementations

@@ -94,7 +94,6 @@ func NewSystem(cfgs []config.CoreConfig, tr *trace.Trace, opts Options) (*System
 			StoreSink:       coreSink{q: s.queue, core: i},
 			OnRetire:        func(idx int64, at ticks.Time) { s.broadcast(i, idx, at) },
 			NoTrainOnInject: opts.NoTrainOnInject,
-			LegacySched:     opts.LegacySched,
 		}
 		if s.exc != nil {
 			popts.RetireGate = func(idx int64, at ticks.Time) bool { return s.exc.gate(i, idx, at) }

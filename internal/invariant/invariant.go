@@ -22,12 +22,18 @@
 //   - counter honesty: the engine's iqCount/lsq counters match a naive
 //     recount of the window, Stats.Retired matches the window head;
 //   - wake-list completeness: every dispatched, unissued instruction is
-//     reachable — in the ready queue, scheduled in the wake heap, or
-//     parked on the dependent list of an incomplete producer — so no
-//     instruction can be lost by the event-driven issue logic (the
-//     lost-wakeup deadlock class);
-//   - no unready issue: every live ready-queue entry has no incomplete
-//     dependence and a ready cycle at or before the current cycle.
+//     reachable — in the ready set, scheduled in the timing wheel or its
+//     overflow heap, or parked on the dependent list of an incomplete
+//     producer — so no instruction can be lost by the event-driven issue
+//     logic (the lost-wakeup deadlock class);
+//   - ready-set liveness: every ready-set entry is a live issue-queue
+//     entry (the ready bitmap is maintained eagerly, so a stale bit is a
+//     bug);
+//   - no overdue wake-up: no scheduled wake-up, in the timing wheel or the
+//     overflow heap, is due before the current cycle (a drain that strands
+//     an entry would otherwise only surface as a silent timing shift);
+//   - no unready issue: every ready-set entry has no incomplete dependence
+//     and a ready cycle at or before the current cycle.
 //
 // Contest invariants live in SystemObserver (contest.go).
 package invariant
@@ -80,8 +86,8 @@ type CoreChecker struct {
 	retirements []int64
 
 	// scratch buffers reused across scans to keep checking cheap
-	ready, wake, waiters []int64
-	reachable            map[int64]bool
+	ready, wake, wakeDue, waiters []int64
+	reachable                     map[int64]bool
 }
 
 // NewCoreChecker builds a checker for one run of the given trace.
@@ -203,15 +209,20 @@ func (k *CoreChecker) scan(c *pipeline.Core, cycle int64) {
 
 	// The reachable set: everything the issue logic can still wake.
 	k.ready = ins.ReadySeqs(k.ready[:0])
-	k.wake = ins.WakeSeqs(k.wake[:0])
+	k.wake, k.wakeDue = ins.WakeSeqs(k.wake[:0], k.wakeDue[:0])
 	for s := range k.reachable {
 		delete(k.reachable, s)
 	}
 	for _, s := range k.ready {
 		k.reachable[s] = true
 	}
-	for _, s := range k.wake {
+	for i, s := range k.wake {
 		k.reachable[s] = true
+		// Every issue pass drains the wake-ups due by its cycle, so one
+		// still scheduled after the cycle it fell due was stranded.
+		if due := k.wakeDue[i]; due < cycle {
+			k.violate("wake-up of %d due at cycle %d still scheduled at cycle %d", s, due, cycle)
+		}
 	}
 
 	iqCount, lsqCount := 0, 0
@@ -257,18 +268,20 @@ func (k *CoreChecker) scan(c *pipeline.Core, cycle int64) {
 		}
 	}
 
-	// No unready issue: live ready-queue entries must have no incomplete
-	// dependence and a ready cycle no later than now.
+	// Ready-set liveness and no unready issue: every ready-set entry must
+	// be a live issue-queue entry with no incomplete dependence and a
+	// ready cycle no later than now.
 	for _, seq := range k.ready {
 		e, ok := ins.Entry(seq)
 		if !ok || !e.InIQ || e.Completed {
-			continue // lazily-deleted heap entry
+			k.violate("ready-set entry %d is not a live issue-queue entry", seq)
+			continue
 		}
 		if b := ins.Blocker(seq); b != pipeline.NoSeq {
-			k.violate("ready-queue entry %d still blocked on incomplete %d", seq, b)
+			k.violate("ready-set entry %d still blocked on incomplete %d", seq, b)
 		}
 		if at := ins.ReadyAt(seq); at > cycle {
-			k.violate("ready-queue entry %d ready only at cycle %d (now %d)", seq, at, cycle)
+			k.violate("ready-set entry %d ready only at cycle %d (now %d)", seq, at, cycle)
 		}
 	}
 }

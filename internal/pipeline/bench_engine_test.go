@@ -1,55 +1,19 @@
 package pipeline
 
-// Engine microbenchmarks and allocation regression tests for the
-// throughput rework: bitmap vs legacy wake-list scheduling, and hard
-// zero-allocation assertions on the steady-state step loop (including the
-// divider-retry path, which a missing scratch preallocation would silently
-// regress).
+// Allocation regression tests for the engine: hard zero-allocation
+// assertions on the steady-state step loop, including the overflow-heap
+// and divider-retry paths, which a missing scratch preallocation would
+// silently regress.
 
 import (
-	"reflect"
 	"runtime"
 	"testing"
 
+	"archcontest/internal/config"
 	"archcontest/internal/isa"
 	"archcontest/internal/trace"
 	"archcontest/internal/workload"
 )
-
-const benchInsts = 20_000
-
-func benchCore(b *testing.B, name string, opts Options) *Core {
-	b.Helper()
-	tr := workload.MustGenerate(name, benchInsts)
-	c, err := NewCore(testConfig(), tr, opts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return c
-}
-
-// BenchmarkScheduler compares the bitmap ready-selection scheduler against
-// the pre-rework heap-based wake-list it replaced, on the same trace and
-// configuration.
-func BenchmarkScheduler(b *testing.B) {
-	for _, mode := range []struct {
-		name   string
-		legacy bool
-	}{{"bitmap", false}, {"wakelist", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				c := benchCore(b, "mcf", Options{LegacySched: mode.legacy})
-				b.StartTimer()
-				for !c.Done() {
-					c.Advance()
-				}
-			}
-			b.ReportMetric(benchInsts, "insts/op")
-		})
-	}
-}
 
 // mallocsDuring returns the exact number of heap allocations performed by
 // f on this goroutine.
@@ -66,20 +30,37 @@ func mallocsDuring(f func()) uint64 {
 // mixed-workload trace performs zero heap allocations — every scratch
 // structure (timing wheel, overflow heap, retry list, bitmap words) must
 // be sized at construction. This is the regression fence for campaigns,
-// where per-step allocations multiply across every leaf run.
+// where per-step allocations multiply across every leaf run. testConfig's
+// wheel covers every wake-up, so the gap palette core's leg, whose
+// cache-port queueing pushes wake-ups past its wheel horizon, fences the
+// overflow heap; it must reach the heap or it fences nothing.
 func TestStepLoopDoesNotAllocate(t *testing.T) {
-	for _, bench := range []string{"mcf", "crafty"} {
-		tr := workload.MustGenerate(bench, 50_000)
-		c, err := NewCore(testConfig(), tr, Options{})
+	for _, leg := range []struct {
+		bench    string
+		n        int
+		cfg      config.CoreConfig
+		overflow bool
+	}{
+		{"mcf", 50_000, testConfig(), false},
+		{"crafty", 50_000, testConfig(), false},
+		{"mcf", 20_000, config.MustPaletteCore("gap"), true},
+	} {
+		tr := workload.MustGenerate(leg.bench, leg.n)
+		c, err := NewCore(leg.cfg, tr, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
+		maxHeap := 0
 		if n := mallocsDuring(func() {
 			for !c.Done() {
 				c.Advance()
+				maxHeap = max(maxHeap, len(c.wakeQ))
 			}
 		}); n != 0 {
-			t.Errorf("%s: step loop performed %d heap allocations, want 0", bench, n)
+			t.Errorf("%s on %s: step loop performed %d heap allocations, want 0", leg.bench, leg.cfg.Name, n)
+		}
+		if leg.overflow && maxHeap == 0 {
+			t.Errorf("%s on %s: no wake-up reached the overflow heap", leg.bench, leg.cfg.Name)
 		}
 	}
 }
@@ -108,52 +89,5 @@ func TestDivRetryDoesNotAllocate(t *testing.T) {
 	}
 	if got := c.Stats().Retired; got != int64(len(insts)) {
 		t.Fatalf("retired %d of %d", got, len(insts))
-	}
-}
-
-// TestStaleWakeEquivalence pins the schedulers against each other in the
-// regime where their wake bookkeeping differs most: a tiny ROB with a
-// memory latency far beyond the timing-wheel horizon, so bitmap mode
-// spills wake-ups into the overflow heap while legacy mode heaps
-// everything. Any stale-wake mishandling (a slot woken for a previous
-// occupant) diverges the two.
-func TestStaleWakeEquivalence(t *testing.T) {
-	cfg := testConfig()
-	cfg.ROBSize = 8
-	cfg.IQSize = 8
-	cfg.LSQSize = 8
-	cfg.MemLatencyCycles = 600
-
-	insts := make([]isa.Inst, 2048)
-	for i := range insts {
-		switch i % 3 {
-		case 0:
-			insts[i] = isa.Inst{Op: isa.OpLoad, PC: 0x40, Dst: isa.RegID(10 + i%16), Src1: 1,
-				Addr: uint64(0x100000 + i*4096)}
-		case 1:
-			insts[i] = isa.Inst{Op: isa.OpALU, PC: 0x44, Dst: isa.RegID(10 + i%16),
-				Src1: isa.RegID(10 + (i-1)%16)}
-		default:
-			insts[i] = isa.Inst{Op: isa.OpDiv, PC: 0x48, Dst: isa.RegID(10 + i%16), Src1: 1}
-		}
-	}
-	tr := trace.New("stale-wake", insts)
-
-	run := func(legacy bool) Stats {
-		c, err := NewCore(cfg, tr, Options{LegacySched: legacy})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; !c.Done(); i++ {
-			c.Advance()
-			if i > 10_000_000 {
-				t.Fatal("run did not terminate")
-			}
-		}
-		return c.Stats()
-	}
-	bitmap, legacy := run(false), run(true)
-	if !reflect.DeepEqual(bitmap, legacy) {
-		t.Errorf("schedulers diverge under overflow-heap pressure\nbitmap: %+v\nlegacy: %+v", bitmap, legacy)
 	}
 }

@@ -55,15 +55,6 @@ func (b *slotBitmap) test(slot int64) bool {
 	return b.words[slot>>6]>>(uint(slot)&63)&1 != 0
 }
 
-func (b *slotBitmap) isEmpty() bool {
-	for _, s := range b.summ {
-		if s != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // next returns the first set slot at or after from, or -1 when none.
 func (b *slotBitmap) next(from int64) int64 {
 	w := from >> 6

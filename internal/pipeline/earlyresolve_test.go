@@ -71,8 +71,8 @@ func TestEarlyResolvedBranchFreesIQSlot(t *testing.T) {
 	if c.iqCount != 0 {
 		t.Errorf("iqCount = %d after completion, want 0", c.iqCount)
 	}
-	if len(c.readyQ) != 0 || len(c.wakeQ) != 0 {
-		t.Errorf("issue queues not drained: %d ready, %d scheduled", len(c.readyQ), len(c.wakeQ))
+	if c.readyCount != 0 || len(c.wakeQ) != 0 {
+		t.Errorf("issue queues not drained: %d ready, %d scheduled", c.readyCount, len(c.wakeQ))
 	}
 	// The early-resolved branch still retires and counts as a branch.
 	if st.Retired != int64(tr.Len()) {

@@ -50,9 +50,6 @@ func (i Inspector) DispSeq() int64 { return i.c.dispSeq }
 // TailSeq is the next instruction to fetch (the core's fetch counter).
 func (i Inspector) TailSeq() int64 { return i.c.tailSeq }
 
-// FetchEnd is the trace length.
-func (i Inspector) FetchEnd() int64 { return i.c.fetchEnd }
-
 // RingSize is the structural window capacity: the bound fetch enforces on
 // tailSeq-headSeq. The physical slot ring is the next power of two above
 // it.
@@ -93,14 +90,10 @@ func (i Inspector) Entry(seq int64) (EntryView, bool) {
 }
 
 // ReadySeqs appends the sequence numbers currently ready to buf and
-// returns it. Under the bitmap scheduler every reported entry is live (the
-// ready bitmap is maintained eagerly); under LegacySched the heap may also
-// hold lazily-deleted entries, exactly as the checker expects.
+// returns it. The ready bitmap is maintained eagerly, so every reported
+// entry must be a live issue-queue entry.
 func (i Inspector) ReadySeqs(buf []int64) []int64 {
 	c := i.c
-	if c.legacy {
-		return append(buf, c.readyQ...)
-	}
 	headSlot := c.headSeq & c.ringMask
 	for slot := c.readyBM.next(0); slot >= 0; slot = c.readyBM.next(slot + 1) {
 		buf = append(buf, c.headSeq+((slot-headSlot)&c.ringMask))
@@ -108,20 +101,21 @@ func (i Inspector) ReadySeqs(buf []int64) []int64 {
 	return buf
 }
 
-// WakeSeqs appends the sequence numbers currently scheduled for a future
-// wake-up — timing-wheel entries plus the overflow/legacy heap — to buf
-// and returns it.
-func (i Inspector) WakeSeqs(buf []int64) []int64 {
+// WakeSeqs appends every scheduled wake-up — timing-wheel entries plus the
+// overflow heap — to seqs (its sequence number) and dues (the cycle it
+// falls due), and returns both. Overflow entries left behind by an
+// early-resolved branch are reported too; the engine drops them when due.
+func (i Inspector) WakeSeqs(seqs, dues []int64) ([]int64, []int64) {
 	c := i.c
 	for _, w := range c.wakeQ {
-		buf = append(buf, w.seq)
+		seqs, dues = append(seqs, w.seq), append(dues, w.at)
 	}
 	for b := c.wheelBM.next(0); b >= 0; b = c.wheelBM.next(b + 1) {
 		for h := c.bucketHead[b]; h != 0; h = c.wheelNext[h-1] {
-			buf = append(buf, c.seqs[h-1])
+			seqs, dues = append(seqs, c.seqs[h-1]), append(dues, c.wakeAt[h-1])
 		}
 	}
-	return buf
+	return seqs, dues
 }
 
 // Waiters appends the sequence numbers parked on seq's dependent wake list
@@ -148,6 +142,3 @@ func (i Inspector) ReadyAt(seq int64) int64 { return i.c.readyAtOf(seq & i.c.rin
 
 // RetiredCount is the number of retired instructions.
 func (i Inspector) RetiredCount() int64 { return i.c.stats.Retired }
-
-// CycleCount is the Stats.Cycles counter.
-func (i Inspector) CycleCount() int64 { return i.c.stats.Cycles }

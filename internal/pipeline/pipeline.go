@@ -46,10 +46,8 @@
 // cache. Ready selection is bitmap-based: a valid bitmap tracks occupied
 // issue-queue slots and a ready bitmap the issuable subset, scanned
 // oldest-first from the head slot with TrailingZeros64 (see bitmap.go).
-// The pre-rework heap-based ready queue survives behind Options.
-// LegacySched as the reference scheduler for the equivalence regression
-// suite. Logical behaviour — including Stats bit-identity — is unchanged:
-// the structural window capacity is still the pre-rework ring size, and
+// Logical behaviour — including Stats bit-identity — is unchanged: the
+// structural window capacity is still the pre-rework ring size, and
 // srcReady reproduces the old ring-reuse cutoff for retired producers
 // exactly even though the physical ring is larger.
 package pipeline
@@ -126,13 +124,6 @@ type Options struct {
 	// are nil-guarded single branches: with no checker attached the
 	// steady-state loop stays allocation-free and effectively unchanged.
 	Checker Checker
-	// LegacySched selects the pre-rework heap-based ready queue instead of
-	// the bitmap scheduler. It is a test-only shim: the scheduler
-	// equivalence suite runs the fuzz corpus under both schedulers and
-	// asserts bit-identical results. It must never appear in a cache key —
-	// both schedulers produce identical results by construction (and by
-	// regression test).
-	LegacySched bool
 }
 
 // Checker observes a core's execution for verification. Implementations
@@ -232,7 +223,6 @@ type Core struct {
 	gate     func(idx int64, at ticks.Time) bool
 	onRetire func(idx int64, at ticks.Time)
 	checker  Checker
-	legacy   bool
 	// Hot CoreConfig limits mirrored the same way: fetch, dispatch, issue
 	// and the next-event scan all test them every cycle.
 	width   int
@@ -269,9 +259,8 @@ type Core struct {
 	// either waits on the depHead list of its first incomplete producer,
 	// waits for its known future ready cycle, or is ready. The ready set
 	// is the readyBM bitmap (validBM tracks all occupied IQ slots),
-	// scanned oldest-first from the head slot; under LegacySched it is
-	// the readyQ seq min-heap with lazy deletion instead. iqCount tracks
-	// occupied IQ slots.
+	// scanned oldest-first from the head slot. iqCount tracks occupied IQ
+	// slots.
 	iqCount int
 	validBM slotBitmap
 	readyBM slotBitmap
@@ -279,7 +268,6 @@ type Core struct {
 	// and next-event paths skip the bitmap scan entirely when nothing is
 	// ready (the overwhelmingly common post-issue state).
 	readyCount int
-	readyQ     []int64 // LegacySched only
 	retry      []int64 // scratch: ready entries deferred by the busy divider
 	lsq        int     // occupied LSQ entries
 
@@ -290,8 +278,7 @@ type Core struct {
 	// wheelPos is the last drained cycle (every live entry lies in
 	// (wheelPos, wheelPos+wheelSize), which keeps bucket indices
 	// unambiguous). Wake-ups beyond the wheel horizon — possible only
-	// under extreme cache-port queueing — spill into the wakeQ min-heap,
-	// which under LegacySched holds every wake-up instead.
+	// under extreme cache-port queueing — spill into the wakeQ min-heap.
 	// wheelDue caches the earliest due cycle of any wheel entry (MaxInt64
 	// when the wheel is empty). It may go stale-low after a wheelRemove —
 	// harmless: the next drain attempt finds nothing due and recomputes —
@@ -373,7 +360,6 @@ func NewCore(cfg config.CoreConfig, tr *trace.Trace, opts Options) (*Core, error
 		gate:          opts.RetireGate,
 		onRetire:      opts.OnRetire,
 		checker:       opts.Checker,
-		legacy:        opts.LegacySched,
 		width:         cfg.Width,
 		robSize:       int64(cfg.ROBSize),
 		iqSize:        cfg.IQSize,
@@ -400,24 +386,20 @@ func NewCore(cfg config.CoreConfig, tr *trace.Trace, opts Options) (*Core, error
 	c.wakeAt = field()
 	c.flags = make([]uint8, ringSize)
 	c.validBM, c.readyBM = newSlotBitmapPair(ringSize)
-	if opts.LegacySched {
-		c.readyQ = make([]int64, 0, cfg.IQSize)
-	} else {
-		// Size the wheel to cover the common worst-case wake delay (a
-		// queue-free memory-latency load plus scheduler and wake-up
-		// depth); rarer, longer delays from cache-port queueing overflow
-		// into the wakeQ heap.
-		horizon := int64(cfg.SchedDepth + cfg.WakeupLatency + cfg.MemLatencyCycles +
-			cfg.L1D.LatencyCycles + cfg.L2D.LatencyCycles + 64)
-		c.wheelSize = 256
-		for c.wheelSize < horizon && c.wheelSize < 8192 {
-			c.wheelSize <<= 1
-		}
-		c.wheelMask = c.wheelSize - 1
-		c.wheelDue = math.MaxInt64
-		c.bucketHead = make([]int64, c.wheelSize)
-		c.wheelBM = newSlotBitmap(c.wheelSize)
+	// Size the wheel to cover the common worst-case wake delay (a
+	// queue-free memory-latency load plus scheduler and wake-up depth);
+	// rarer, longer delays from cache-port queueing overflow into the
+	// wakeQ heap.
+	horizon := int64(cfg.SchedDepth + cfg.WakeupLatency + cfg.MemLatencyCycles +
+		cfg.L1D.LatencyCycles + cfg.L2D.LatencyCycles + 64)
+	c.wheelSize = 256
+	for c.wheelSize < horizon && c.wheelSize < 8192 {
+		c.wheelSize <<= 1
 	}
+	c.wheelMask = c.wheelSize - 1
+	c.wheelDue = math.MaxInt64
+	c.bucketHead = make([]int64, c.wheelSize)
+	c.wheelBM = newSlotBitmap(c.wheelSize)
 	if opts.RegionSize > 0 {
 		c.regions = make([]ticks.Time, 0, tr.Len()/opts.RegionSize)
 	}
@@ -619,21 +601,7 @@ func (c *Core) NextEvent() (cycle int64, ok bool) {
 	if c.wheelCount > 0 && c.wheelDue < next {
 		next = c.wheelDue
 	}
-	if c.legacy {
-		for _, seq := range c.readyQ {
-			slot := seq & c.ringMask
-			if c.seqs[slot] != seq || !c.validBM.test(slot) || c.flags[slot]&flagCompleted != 0 {
-				continue // lazily-deleted entry
-			}
-			if c.tr.At(seq).Op == isa.OpDiv && c.divFree > now {
-				if c.divFree < next {
-					next = c.divFree
-				}
-				continue
-			}
-			return now, false
-		}
-	} else if c.readyCount > 0 {
+	if c.readyCount > 0 {
 		// With the divider free, any ready entry — divide or not — could
 		// issue, so the cycle is live. Otherwise only a ready set made up
 		// entirely of divides defers, to the cycle the divider frees.
@@ -888,13 +856,7 @@ func (c *Core) enqueueLive(seq, slot int64) {
 		return
 	}
 	if at > c.cycle {
-		if c.legacy {
-			c.wakeQ = pushWake(c.wakeQ, wakeEntry{at: at, seq: seq})
-		} else {
-			c.scheduleWake(seq, slot, at)
-		}
-	} else if c.legacy {
-		c.readyQ = pushSeq(c.readyQ, seq)
+		c.scheduleWake(seq, slot, at)
 	} else {
 		c.readyBM.set(slot)
 		c.readyCount++
@@ -1031,7 +993,8 @@ func (c *Core) issueEntry(seq, slot, now int64) bool {
 // doIssue selects up to Width ready instructions, oldest first, and
 // schedules their completion. Only woken entries are examined: entries
 // waiting on a producer are untouched until it completes, and entries with
-// a known future ready cycle sit in the wake heap until it is due.
+// a known future ready cycle sit in the timing wheel, or in the overflow
+// heap past the wheel's horizon, until it is due.
 func (c *Core) doIssue() {
 	now := c.cycle
 	if c.readyCount == 0 && c.wheelDue > now && len(c.wakeQ) == 0 {
@@ -1040,7 +1003,7 @@ func (c *Core) doIssue() {
 		// position only makes the scheduleWake horizon check conservative
 		// (spilling to the overflow heap earlier), and bucket positions stay
 		// unambiguous because inserts bound every entry within wheelSize of
-		// it. Never taken under LegacySched, whose wheelDue stays zero.
+		// it.
 		return
 	}
 	for len(c.wakeQ) > 0 && c.wakeQ[0].at <= now {
@@ -1054,16 +1017,8 @@ func (c *Core) doIssue() {
 		if c.seqs[slot] != w.seq || !c.validBM.test(slot) || c.flags[slot]&flagCompleted != 0 {
 			continue
 		}
-		if c.legacy {
-			c.readyQ = pushSeq(c.readyQ, w.seq)
-		} else {
-			c.readyBM.set(slot)
-			c.readyCount++
-		}
-	}
-	if c.legacy {
-		c.issueLegacy(now)
-		return
+		c.readyBM.set(slot)
+		c.readyCount++
 	}
 	c.drainWheel(now)
 	issued := 0
@@ -1087,31 +1042,6 @@ func (c *Core) doIssue() {
 		c.readyBM.set(slot)
 	}
 	c.readyCount += len(retry)
-	c.retry = retry[:0]
-}
-
-// issueLegacy is the pre-rework heap-based issue selection (see
-// Options.LegacySched): pop the oldest ready seq, skipping lazily-deleted
-// entries.
-func (c *Core) issueLegacy(now int64) {
-	issued := 0
-	retry := c.retry[:0]
-	for len(c.readyQ) > 0 && issued < c.width {
-		var seq int64
-		c.readyQ, seq = popSeq(c.readyQ)
-		slot := seq & c.ringMask
-		if c.seqs[slot] != seq || !c.validBM.test(slot) || c.flags[slot]&flagCompleted != 0 {
-			continue // lazily-deleted entry
-		}
-		if !c.issueEntry(seq, slot, now) {
-			retry = append(retry, seq)
-			continue
-		}
-		issued++
-	}
-	for _, seq := range retry {
-		c.readyQ = pushSeq(c.readyQ, seq)
-	}
 	c.retry = retry[:0]
 }
 
@@ -1230,7 +1160,7 @@ func (c *Core) doFetch() {
 				if bfl&flagCompleted == 0 && c.validBM.test(bslot) {
 					// The branch leaves the issue queue without issuing; its
 					// ready bit and wheel entry are dropped eagerly,
-					// wake-heap entries lazily.
+					// overflow-heap entries lazily.
 					c.validBM.clear(bslot)
 					if c.readyBM.test(bslot) {
 						c.readyBM.clear(bslot)
@@ -1331,44 +1261,6 @@ func (c *Core) doFetch() {
 			c.feed.ConsumeThrough(limit)
 		}
 	}
-}
-
-// pushSeq and popSeq maintain a binary min-heap of sequence numbers: the
-// legacy ready queue, ordered so issue selection is oldest-first.
-func pushSeq(h []int64, v int64) []int64 {
-	h = append(h, v)
-	for i := len(h) - 1; i > 0; {
-		p := (i - 1) / 2
-		if h[p] <= h[i] {
-			break
-		}
-		h[p], h[i] = h[i], h[p]
-		i = p
-	}
-	return h
-}
-
-func popSeq(h []int64) ([]int64, int64) {
-	v := h[0]
-	last := len(h) - 1
-	h[0] = h[last]
-	h = h[:last]
-	for i := 0; ; {
-		l := 2*i + 1
-		if l >= len(h) {
-			break
-		}
-		m := l
-		if r := l + 1; r < len(h) && h[r] < h[l] {
-			m = r
-		}
-		if h[i] <= h[m] {
-			break
-		}
-		h[i], h[m] = h[m], h[i]
-		i = m
-	}
-	return h, v
 }
 
 // pushWake and popWake maintain a binary min-heap of scheduled wake-ups,

@@ -73,12 +73,6 @@ type RunOptions struct {
 	// never alters the run's result; campaign layers must bypass their
 	// caches when a checker is attached, or the checks silently don't run.
 	Checker Checker `json:"-"`
-	// LegacySched selects the pre-rework heap-based ready queue instead
-	// of the bitmap scheduler (see pipeline.Options.LegacySched). It is a
-	// test-only shim for the scheduler equivalence suite and must never
-	// enter a cache key: both schedulers produce bit-identical results by
-	// construction, so the key would only split the cache.
-	LegacySched bool `json:"-"`
 }
 
 // Checker observes a core's execution for verification.
@@ -101,7 +95,7 @@ func Run(cfg config.CoreConfig, tr *trace.Trace, opts RunOptions) (Result, error
 // and returns ctx.Err() when the context ends. A Background context costs
 // a single nil check at entry.
 func RunContext(ctx context.Context, cfg config.CoreConfig, tr *trace.Trace, opts RunOptions) (Result, error) {
-	popts := pipeline.Options{WritePolicy: opts.WritePolicy, Checker: opts.Checker, LegacySched: opts.LegacySched}
+	popts := pipeline.Options{WritePolicy: opts.WritePolicy, Checker: opts.Checker}
 	if opts.LogRegions {
 		popts.RegionSize = RegionSize
 	}

@@ -86,11 +86,6 @@ func (c Clock) NextEdge(t Time) Time {
 	return c.TimeOfCycle(c.CycleAt(t) + 1)
 }
 
-// CyclesToDuration converts a cycle count to a duration of this clock.
-func (c Clock) CyclesToDuration(cycles int64) Duration {
-	return Duration(cycles * int64(c.period))
-}
-
 func (c Clock) String() string {
 	return fmt.Sprintf("%.2fGHz (%.2fns)", c.FrequencyGHz(), c.PeriodNs())
 }
