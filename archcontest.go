@@ -38,7 +38,6 @@ package archcontest
 
 import (
 	"context"
-	"io"
 
 	"archcontest/internal/config"
 	"archcontest/internal/contest"
@@ -82,9 +81,6 @@ type ExploreOptions = explore.Options
 // ExploreResult is the outcome of a design-space exploration.
 type ExploreResult = explore.Result
 
-// TemperOptions configures the parallel-tempering exploration mode.
-type TemperOptions = explore.TemperingOptions
-
 // ResultCache is the campaign engine's content-addressed persistent result
 // store; pass one in LabConfig.Cache or ExploreOptions.Cache to make
 // re-runs incremental.
@@ -121,9 +117,6 @@ func GenerateTrace(benchmark string, n int) (*Trace, error) {
 func MustGenerateTrace(benchmark string, n int) *Trace {
 	return workload.MustGenerate(benchmark, n)
 }
-
-// LoadTrace reads a trace previously serialized with Trace.WriteTo.
-func LoadTrace(r io.Reader) (*Trace, error) { return trace.ReadFrom(r) }
 
 // PaletteNames lists the benchmark-customized core names of Appendix A.
 func PaletteNames() []string { return config.PaletteNames() }
@@ -178,13 +171,6 @@ func ContestRunContext(ctx context.Context, cfgs []CoreConfig, tr *Trace, opts C
 // Cancelling ctx abandons the walk and returns the context error.
 func CustomizeCore(ctx context.Context, tr *Trace, opts ExploreOptions) (ExploreResult, error) {
 	return explore.Customize(ctx, tr, opts)
-}
-
-// TemperCore runs the parallel-tempering (replica-exchange) exploration:
-// M chains on a temperature ladder with periodic state exchange.
-// Cancelling ctx abandons the exploration and returns the context error.
-func TemperCore(ctx context.Context, tr *Trace, opts TemperOptions) (ExploreResult, error) {
-	return explore.Temper(ctx, tr, opts)
 }
 
 // OpenResultCache opens (creating if needed) a persistent result cache

@@ -1,7 +1,6 @@
 // Command explore runs the design-space exploration (the XpScalar
 // stand-in) to customize a core for a benchmark: simulated annealing with
-// speculative parallel evaluation by default, or parallel tempering
-// (replica exchange) with -mode temper. The exploration is a declarative
+// speculative parallel evaluation. The exploration is a declarative
 // scenario (internal/spec) executed in the shared environment — the same
 // path cmd/serve jobs take — so design-point evaluations are memoized in
 // the persistent result cache and repeated explorations of the same trace
@@ -25,12 +24,9 @@ func main() {
 	log.SetPrefix("explore: ")
 	bench := flag.String("bench", "gcc", "benchmark to customize for")
 	n := flag.Int("n", 100_000, "objective trace length in instructions")
-	steps := flag.Int("steps", 120, "annealing steps (tempering: rounds per chain)")
+	steps := flag.Int("steps", 120, "annealing steps")
 	seed := flag.Uint64("seed", 1, "exploration seed")
-	mode := flag.String("mode", "anneal", "anneal (speculative annealing) or temper (parallel tempering)")
-	lookahead := flag.Int("K", 8, "speculative lookahead window (annealing; 1 = sequential)")
-	chains := flag.Int("chains", 4, "tempering chains")
-	exchange := flag.Int("exchange", 10, "tempering rounds between replica exchanges")
+	lookahead := flag.Int("K", 8, "speculative lookahead window (1 = sequential)")
 	par := flag.Int("par", 0, "max concurrent evaluations (0 = NumCPU)")
 	fastFilter := flag.Bool("fast.filter", false, "screen candidates with the fast interval model before detailed simulation")
 	fastMargin := flag.Float64("fast.margin", 0, "fast-filter relative margin (0 = calibrated default)")
@@ -50,19 +46,14 @@ func main() {
 
 	var hooks spec.Hooks
 	if *verbose {
-		hooks.ExploreMove = func(chain, step int, cfg config.CoreConfig, ipt float64) {
-			if *mode == "temper" {
-				fmt.Printf("chain %d step %3d: IPT %.3f  %v\n", chain, step, ipt, cfg)
-			} else {
-				fmt.Printf("step %3d: IPT %.3f  %v\n", step, ipt, cfg)
-			}
+		hooks.ExploreMove = func(step int, cfg config.CoreConfig, ipt float64) {
+			fmt.Printf("step %3d: IPT %.3f  %v\n", step, ipt, cfg)
 		}
 	}
 	out, err := spec.Execute(ctx, spec.Spec{
 		Kind: spec.KindExplore, Bench: *bench, N: *n, Parallelism: *par,
 		Explore: &spec.ExploreSpec{
-			Mode: *mode, Seed: *seed, Steps: *steps,
-			Lookahead: *lookahead, Chains: *chains, ExchangeEvery: *exchange,
+			Seed: *seed, Steps: *steps, Lookahead: *lookahead,
 			FastFilter: *fastFilter, FastMargin: *fastMargin,
 		},
 	}, env, hooks)

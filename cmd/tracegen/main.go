@@ -7,7 +7,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"os"
 
 	"archcontest"
 )
@@ -19,24 +18,7 @@ func main() {
 	n := flag.Int("n", 100_000, "trace length in instructions")
 	dump := flag.Int("dump", 0, "dump this many instructions from -offset")
 	offset := flag.Int64("offset", 0, "dump starting index")
-	save := flag.String("save", "", "write the generated trace (requires -bench) to this file")
-	load := flag.String("load", "", "summarize a previously saved trace file instead of generating")
 	flag.Parse()
-
-	if *load != "" {
-		f, err := os.Open(*load)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer f.Close()
-		tr, err := archcontest.LoadTrace(f)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("%-8s %8d insts  mix[%v]  footprint(64B) %6dKB\n",
-			tr.Name(), tr.Len(), tr.Mix(), tr.Footprint(64)>>10)
-		return
-	}
 
 	benches := archcontest.Benchmarks()
 	if *bench != "" {
@@ -49,19 +31,6 @@ func main() {
 		}
 		fmt.Printf("%-8s %8d insts  mix[%v]  footprint(64B) %6dKB\n",
 			name, tr.Len(), tr.Mix(), tr.Footprint(64)>>10)
-		if *save != "" && *bench != "" {
-			f, err := os.Create(*save)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if _, err := tr.WriteTo(f); err != nil {
-				log.Fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("saved to %s\n", *save)
-		}
 		if *dump > 0 {
 			end := *offset + int64(*dump)
 			if end > int64(tr.Len()) {

@@ -18,8 +18,7 @@
 // drawn) are discarded and the proposal stream is rewound to the accepted
 // candidate's state. The accepted-move trajectory is therefore identical
 // for every K, including K=1 (pure sequential) — a property the tests
-// lock. A separate parallel-tempering mode runs M chains on a temperature
-// ladder with periodic replica exchange.
+// lock.
 package explore
 
 import (
@@ -135,8 +134,8 @@ type Options struct {
 // begin to rule out candidates the detailed engine would have accepted.
 const DefaultFastMargin = 0.10
 
-// hotTemp and coldTemp bound the annealer's geometric cooling schedule and
-// the tempering ladder, in relative objective units.
+// hotTemp and coldTemp bound the annealer's geometric cooling schedule, in
+// relative objective units.
 const (
 	hotTemp  = 0.10
 	coldTemp = 0.005

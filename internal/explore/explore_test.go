@@ -203,32 +203,3 @@ func TestCustomizeWithCacheIdentical(t *testing.T) {
 		t.Errorf("warm run hit nothing: %+v", st)
 	}
 }
-
-func TestTemperDeterministicAndImproves(t *testing.T) {
-	if testing.Short() {
-		t.Skip("tempering in short mode")
-	}
-	tr := workload.MustGenerate("parser", 6000)
-	opts := TemperingOptions{Seed: 3, Chains: 3, Steps: 10, ExchangeEvery: 4}
-	a, err := Temper(context.Background(), tr, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts.Parallelism = 8
-	b, err := Temper(context.Background(), tr, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.BestIPT != b.BestIPT || a.Best.String() != b.Best.String() || a.Evaluated != b.Evaluated {
-		t.Error("tempering not deterministic across parallelism levels")
-	}
-	if a.BestIPT <= 0 || a.Evaluated < 10 {
-		t.Errorf("implausible tempering result: %+v", a)
-	}
-	if err := a.Best.Validate(); err != nil {
-		t.Errorf("best config invalid: %v", err)
-	}
-	if a.Best.Name != "custom-parser" {
-		t.Errorf("best config name %q", a.Best.Name)
-	}
-}

@@ -126,30 +126,3 @@ func TestFastFilterDeterministic(t *testing.T) {
 		t.Errorf("filtered walk depends on parallelism: %+v vs %+v", a, b)
 	}
 }
-
-func TestTemperFastFilter(t *testing.T) {
-	if testing.Short() {
-		t.Skip("tempering in short mode")
-	}
-	tr := workload.MustGenerate("parser", 6000)
-	opts := TemperingOptions{Seed: 3, Chains: 3, Steps: 12, ExchangeEvery: 4, FastFilter: true, FastMargin: 0.02}
-	a, err := Temper(context.Background(), tr, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts.Parallelism = 8
-	b, err := Temper(context.Background(), tr, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.BestIPT != b.BestIPT || a.Best.String() != b.Best.String() ||
-		a.Detailed != b.Detailed || a.Filtered != b.Filtered || a.Evaluated != b.Evaluated {
-		t.Errorf("filtered tempering depends on parallelism: %+v vs %+v", a, b)
-	}
-	// Every chain candidate is either simulated in detail or filtered;
-	// the initial point accounts for the extra detailed evaluation.
-	if a.Evaluated-1+a.Filtered != opts.Chains*opts.Steps {
-		t.Errorf("accounting: evaluated=%d filtered=%d over %d candidates",
-			a.Evaluated, a.Filtered, opts.Chains*opts.Steps)
-	}
-}

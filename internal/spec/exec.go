@@ -29,7 +29,8 @@ import (
 type Env struct {
 	// Cache, if non-nil, persists leaf results across specs and processes.
 	Cache *resultcache.Cache
-	// Parallelism bounds concurrent leaf simulations per Lab (0 = NumCPU).
+	// Parallelism bounds concurrent leaf simulations per Lab and per
+	// exploration when the spec sets no bound (0 = NumCPU).
 	Parallelism int
 	// Artifacts, if non-nil, receives campaign spans from every Lab built
 	// by this Env.
@@ -76,9 +77,8 @@ type Hooks struct {
 	// Campaign is called once, before an experiment/matrix campaign
 	// starts, with a live getter for the Lab's executed-work counters.
 	Campaign func(stats func() experiments.CampaignStats)
-	// ExploreMove observes every accepted exploration move (chain is 0
-	// for annealing).
-	ExploreMove func(chain, step int, cfg config.CoreConfig, ipt float64)
+	// ExploreMove observes every accepted exploration move.
+	ExploreMove func(step int, cfg config.CoreConfig, ipt float64)
 }
 
 // Outcome is the result of executing a Spec: exactly one of the payload
@@ -304,14 +304,19 @@ func executeContest(ctx context.Context, sp Spec, env *Env, hooks Hooks) (*Outco
 	return out, nil
 }
 
+// parallelism resolves the spec's concurrency bound: its own, else the
+// environment's, else NumCPU.
+func (e *Env) parallelism(sp Spec) int {
+	if sp.Parallelism > 0 {
+		return sp.Parallelism
+	}
+	if e.Parallelism > 0 {
+		return e.Parallelism
+	}
+	return runtime.NumCPU()
+}
+
 func (e *Env) labFor(sp Spec) *Lab {
-	par := sp.Parallelism
-	if par == 0 {
-		par = e.Parallelism
-	}
-	if par == 0 {
-		par = runtime.NumCPU()
-	}
 	cache := e.Cache
 	if sp.Verify {
 		cache = nil // the Lab bypasses it anyway; keep the key honest
@@ -320,7 +325,7 @@ func (e *Env) labFor(sp Spec) *Lab {
 		N:              sp.N,
 		LatencyNs:      sp.LatencyNs,
 		CandidatePairs: sp.Pairs,
-		Parallelism:    par,
+		Parallelism:    e.parallelism(sp),
 		Cache:          cache,
 		Verify:         sp.Verify,
 		Artifacts:      e.Artifacts,
@@ -352,70 +357,33 @@ func executeExplore(ctx context.Context, sp Spec, env *Env, hooks Hooks) (*Outco
 		return nil, err
 	}
 	e := sp.Explore
-	cache := env.Cache
-	var res explore.Result
-	var tracker *progressTracker
-	switch e.Mode {
-	case "anneal":
-		opts := explore.Options{
-			Seed:        e.Seed,
-			Steps:       e.Steps,
-			Lookahead:   e.Lookahead,
-			Parallelism: sp.Parallelism,
-			Cache:       cache,
-			Log:         env.Artifacts,
-			FastFilter:  e.FastFilter,
-			FastMargin:  e.FastMargin,
-		}
-		if hooks.Progress != nil {
-			steps := opts.Steps
-			if steps == 0 {
-				steps = 200 // the annealer's default
-			}
-			tracker = newProgressTracker(hooks.Progress, int64(steps))
-		}
-		if hooks.ExploreMove != nil || tracker != nil {
-			tracker := tracker
-			opts.Progress = func(step int, cfg config.CoreConfig, ipt float64) {
-				tracker.observe(int64(step + 1))
-				if hooks.ExploreMove != nil {
-					hooks.ExploreMove(0, step, cfg, ipt)
-				}
-			}
-		}
-		res, err = explore.Customize(ctx, tr, opts)
-	case "temper":
-		opts := explore.TemperingOptions{
-			Seed:          e.Seed,
-			Steps:         e.Steps,
-			Chains:        e.Chains,
-			ExchangeEvery: e.ExchangeEvery,
-			Parallelism:   sp.Parallelism,
-			Cache:         cache,
-			Log:           env.Artifacts,
-			FastFilter:    e.FastFilter,
-			FastMargin:    e.FastMargin,
-		}
-		if hooks.Progress != nil {
-			steps := opts.Steps
-			if steps == 0 {
-				steps = 200 // the tempering default
-			}
-			tracker = newProgressTracker(hooks.Progress, int64(steps))
-		}
-		if hooks.ExploreMove != nil || tracker != nil {
-			tracker := tracker
-			opts.Progress = func(chain, step int, cfg config.CoreConfig, ipt float64) {
-				tracker.observe(int64(step + 1))
-				if hooks.ExploreMove != nil {
-					hooks.ExploreMove(chain, step, cfg, ipt)
-				}
-			}
-		}
-		res, err = explore.Temper(ctx, tr, opts)
-	default:
-		return nil, fmt.Errorf("spec: unknown explore mode %q", e.Mode)
+	opts := explore.Options{
+		Seed:        e.Seed,
+		Steps:       e.Steps,
+		Lookahead:   e.Lookahead,
+		Parallelism: env.parallelism(sp),
+		Cache:       env.Cache,
+		Log:         env.Artifacts,
+		FastFilter:  e.FastFilter,
+		FastMargin:  e.FastMargin,
 	}
+	var tracker *progressTracker
+	if hooks.Progress != nil {
+		steps := opts.Steps
+		if steps == 0 {
+			steps = 200 // the annealer's default
+		}
+		tracker = newProgressTracker(hooks.Progress, int64(steps))
+	}
+	if hooks.ExploreMove != nil || tracker != nil {
+		opts.Progress = func(step int, cfg config.CoreConfig, ipt float64) {
+			tracker.observe(int64(step + 1))
+			if hooks.ExploreMove != nil {
+				hooks.ExploreMove(step, cfg, ipt)
+			}
+		}
+	}
+	res, err := explore.Customize(ctx, tr, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -3,11 +3,17 @@ package spec
 import (
 	"context"
 	"reflect"
+	"runtime"
+	"sort"
 	"testing"
 
+	"archcontest/internal/config"
 	"archcontest/internal/contest"
 	"archcontest/internal/experiments"
+	"archcontest/internal/explore"
+	"archcontest/internal/obs"
 	"archcontest/internal/resultcache"
+	"archcontest/internal/workload"
 )
 
 // TestVerifiedSpecCacheRule pins Execute's leaf cache rule for both leaf
@@ -99,4 +105,84 @@ func TestVerifiedSpecCacheRule(t *testing.T) {
 			t.Errorf("Lab contest differs from the spec contest")
 		}
 	})
+}
+
+// TestExploreSpecMatchesCustomize runs the explore kind end to end: the
+// outcome is exactly explore.Customize's on the same trace and options,
+// the hooks see the walk in order, and a repeat is served from the cache.
+func TestExploreSpecMatchesCustomize(t *testing.T) {
+	ctx := context.Background()
+	sp, err := Parse([]byte(`{"kind":"explore","bench":"gcc","n":4000,"explore":{"seed":3,"steps":12,"lookahead":4}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache, err := resultcache.Open("", resultcache.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := NewEnv(cache)
+
+	var moves []int
+	var progress [][2]int64
+	out, err := Execute(ctx, sp, env, Hooks{
+		Progress:    func(done, total int64) { progress = append(progress, [2]int64{done, total}) },
+		ExploreMove: func(step int, _ config.CoreConfig, _ float64) { moves = append(moves, step) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := explore.Customize(ctx, workload.MustGenerate("gcc", 4000), explore.Options{Seed: 3, Steps: 12, Lookahead: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(*out.Explore, want) {
+		t.Errorf("explore spec outcome differs from Customize\n%+v\n%+v", *out.Explore, want)
+	}
+	if len(moves) == 0 {
+		t.Error("ExploreMove saw no accepted move")
+	}
+	for i := 1; i < len(moves); i++ {
+		if moves[i] <= moves[i-1] {
+			t.Errorf("ExploreMove steps not strictly increasing: %v", moves)
+			break
+		}
+	}
+	for i := 1; i < len(progress); i++ {
+		if progress[i][0] < progress[i-1][0] {
+			t.Errorf("progress decreased: %v", progress)
+			break
+		}
+	}
+	if len(progress) == 0 || progress[len(progress)-1] != [2]int64{12, 12} {
+		t.Errorf("progress %v, want it to end at (12, 12)", progress)
+	}
+
+	before := cache.Stats()
+	if _, err := Execute(ctx, sp, env, Hooks{}); err != nil {
+		t.Fatal(err)
+	}
+	if after := cache.Stats(); after.Misses != before.Misses {
+		t.Errorf("repeated walk missed the cache: %+v -> %+v", before, after)
+	}
+}
+
+// TestExploreSpecHonoursEnvParallelism: an explore spec that sets no
+// parallelism takes the environment's, so a one-slot environment never has
+// two design-point evaluations in flight.
+func TestExploreSpecHonoursEnvParallelism(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		t.Skip("evaluations cannot overlap on one CPU")
+	}
+	env := &Env{Parallelism: 1, Artifacts: obs.NewArtifactLog()}
+	sp := Spec{Kind: KindExplore, Bench: "gcc", N: 4000, Explore: &ExploreSpec{Seed: 1, Steps: 16, Lookahead: 4}}
+	if _, err := Execute(context.Background(), sp, env, Hooks{}); err != nil {
+		t.Fatal(err)
+	}
+	spans := env.Artifacts.Spans()
+	sort.Slice(spans, func(i, j int) bool { return spans[i].Start.Before(spans[j].Start) })
+	for i := 1; i < len(spans); i++ {
+		if spans[i].Start.Before(spans[i-1].End) {
+			t.Fatalf("two evaluations in flight at once on a one-slot environment: %+v and %+v", spans[i-1], spans[i])
+		}
+	}
 }

@@ -32,7 +32,7 @@ const (
 	KindContest    = "contest"    // one benchmark contested across 2..8 cores
 	KindExperiment = "experiment" // one registered paper table/figure
 	KindMatrix     = "matrix"     // the full benchmark x core IPT matrix
-	KindExplore    = "explore"    // design-space exploration (anneal/temper)
+	KindExplore    = "explore"    // design-space exploration (simulated annealing)
 )
 
 // Spec declares one scenario. The zero value is not runnable; fill in at
@@ -70,7 +70,9 @@ type Spec struct {
 	Explore *ExploreSpec `json:"explore,omitempty"`
 	// Verify attaches the verification subsystem (invariant checkers and
 	// the differential oracle) to every executed leaf. Verified execution
-	// bypasses the result cache in both directions.
+	// bypasses the result cache in both directions. Validate rejects it on
+	// the explore kind, whose design-point evaluations run unverified
+	// through the result cache.
 	Verify bool `json:"verify,omitempty"`
 	// Record attaches an obs.Recorder and returns archcontest-obs-v1
 	// metrics plus a Chrome/Perfetto timeline in the Outcome. Supported
@@ -80,24 +82,19 @@ type Spec struct {
 	// SampleNs is the recorder sampling period in simulated nanoseconds
 	// (0 = recorder default).
 	SampleNs float64 `json:"sample_ns,omitempty"`
-	// Parallelism bounds concurrent leaf simulations for campaign kinds
-	// (0 = the executing environment's default).
+	// Parallelism bounds concurrent leaf simulations for campaign and
+	// explore kinds (0 = the executing environment's default).
 	Parallelism int `json:"parallelism,omitempty"`
 }
 
 // ExploreSpec configures the explore kind.
 type ExploreSpec struct {
-	// Mode is "anneal" (default) or "temper".
-	Mode string `json:"mode,omitempty"`
 	// Seed drives the walk deterministically.
 	Seed uint64 `json:"seed,omitempty"`
-	// Steps is the number of annealing moves or tempering rounds.
+	// Steps is the number of annealing moves.
 	Steps int `json:"steps,omitempty"`
 	// Lookahead is the annealer's speculative batch size K.
 	Lookahead int `json:"lookahead,omitempty"`
-	// Chains and ExchangeEvery configure tempering.
-	Chains        int `json:"chains,omitempty"`
-	ExchangeEvery int `json:"exchange_every,omitempty"`
 	// FastFilter enables the fast-model first pass: candidates the
 	// interval model rules out are rejected without a detailed
 	// simulation, and lookahead speculation past a predicted acceptance
@@ -156,13 +153,8 @@ func (sp *Spec) Normalize() {
 	if sp.Kind == KindRun && len(sp.Cores)+len(sp.Custom) == 0 && sp.Bench != "" {
 		sp.Cores = []string{sp.Bench}
 	}
-	if sp.Kind == KindExplore {
-		if sp.Explore == nil {
-			sp.Explore = &ExploreSpec{}
-		}
-		if sp.Explore.Mode == "" {
-			sp.Explore.Mode = "anneal"
-		}
+	if sp.Kind == KindExplore && sp.Explore == nil {
+		sp.Explore = &ExploreSpec{}
 	}
 }
 
@@ -264,11 +256,11 @@ func (sp *Spec) Validate() error {
 				sp.Experiment, strings.Join(experiments.RegistryOrder, ", "))
 		}
 	case KindExplore:
-		e := sp.Explore
-		if e.Mode != "anneal" && e.Mode != "temper" {
-			return fmt.Errorf("spec: unknown explore mode %q (anneal or temper)", e.Mode)
+		if sp.Verify {
+			return fmt.Errorf("spec: verify is not supported for the explore kind")
 		}
-		if e.Steps < 0 || e.Lookahead < 0 || e.Chains < 0 || e.ExchangeEvery < 0 {
+		e := sp.Explore
+		if e.Steps < 0 || e.Lookahead < 0 {
 			return fmt.Errorf("spec: negative explore parameter")
 		}
 		if e.FastMargin < 0 {

@@ -141,7 +141,8 @@ func TestSpecInvalid(t *testing.T) {
 		{"unknown experiment", `{"kind":"experiment","experiment":"figZZ"}`, "unknown experiment"},
 		{"run options on contest", `{"kind":"contest","bench":"gcc","cores":["gcc","mcf"],"run":{}}`, "run options"},
 		{"record on matrix", `{"kind":"matrix","record":true}`, "record"},
-		{"unknown explore mode", `{"kind":"explore","bench":"gcc","explore":{"mode":"hillclimb"}}`, "explore mode"},
+		{"unknown explore mode", `{"kind":"explore","bench":"gcc","explore":{"mode":"temper"}}`, `unknown field "mode"`},
+		{"verify on explore", `{"kind":"explore","bench":"gcc","verify":true}`, "verify"},
 		{"pairs on run", `{"kind":"run","bench":"gcc","pairs":2}`, "pairs"},
 	}
 	for _, c := range cases {
