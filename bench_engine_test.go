@@ -107,13 +107,16 @@ func BenchmarkEngineContest4SingleStep(b *testing.B) {
 	benchmarkEngineContest(b, "gcc", contest4, true, false)
 }
 
-// BenchmarkTraceGeneration measures the synthetic workload generator.
+// BenchmarkTraceGeneration measures the synthetic workload generator and
+// the resident size of the trace it encodes.
 func BenchmarkTraceGeneration(b *testing.B) {
+	var tr *Trace
 	for i := 0; i < b.N; i++ {
-		tr := MustGenerateTrace("mcf", 100_000)
+		tr = MustGenerateTrace("mcf", 100_000)
 		if tr.Len() != 100_000 {
 			b.Fatal("short trace")
 		}
 	}
 	b.ReportMetric(float64(100_000*b.N)/b.Elapsed().Seconds()/1e6, "Minst/s")
+	b.ReportMetric(float64(tr.Bytes())/float64(tr.Len()), "B/inst")
 }

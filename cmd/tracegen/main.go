@@ -1,14 +1,16 @@
 // Command tracegen inspects the synthetic workloads: instruction mix,
-// memory footprint, phase statistics, and optionally a window of the raw
-// trace.
+// memory footprint, the trace's resident size, and optionally a window of
+// the raw trace.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"log"
+	"os"
 
 	"archcontest"
+	"archcontest/internal/isa"
 )
 
 func main() {
@@ -17,8 +19,13 @@ func main() {
 	bench := flag.String("bench", "", "benchmark name (empty = summarize all)")
 	n := flag.Int("n", 100_000, "trace length in instructions")
 	dump := flag.Int("dump", 0, "dump this many instructions from -offset")
-	offset := flag.Int64("offset", 0, "dump starting index")
+	offset := flag.Int("offset", 0, "dump starting index")
 	flag.Parse()
+	if *offset < 0 {
+		fmt.Fprintf(os.Stderr, "tracegen: negative -offset %d\n", *offset)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	benches := archcontest.Benchmarks()
 	if *bench != "" {
@@ -29,15 +36,14 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("%-8s %8d insts  mix[%v]  footprint(64B) %6dKB\n",
-			name, tr.Len(), tr.Mix(), tr.Footprint(64)>>10)
-		if *dump > 0 {
-			end := *offset + int64(*dump)
-			if end > int64(tr.Len()) {
-				end = int64(tr.Len())
-			}
-			for i := *offset; i < end; i++ {
-				fmt.Printf("  %8d: %v\n", i, *tr.At(i))
+		fmt.Printf("%-8s %8d insts  mix[%v]  footprint(64B) %6dKB  resident %7dKB %.2fB/inst\n",
+			name, tr.Len(), tr.Mix(), tr.Footprint(64)>>10,
+			tr.Bytes()>>10, float64(tr.Bytes())/float64(tr.Len()))
+		if *dump > 0 && *offset < tr.Len() {
+			r := tr.Reader(*offset)
+			var in isa.Inst
+			for i := *offset; i < *offset+*dump && r.Next(&in); i++ {
+				fmt.Printf("  %8d: %v\n", i, in)
 			}
 		}
 	}

@@ -22,6 +22,7 @@ import (
 	"archcontest/internal/cache"
 	"archcontest/internal/config"
 	"archcontest/internal/contest"
+	"archcontest/internal/isa"
 	"archcontest/internal/trace"
 	"archcontest/internal/workload"
 )
@@ -44,6 +45,10 @@ func (c *cursor) byte() byte {
 
 func (c *cursor) u16() uint16 {
 	return uint16(c.byte()) | uint16(c.byte())<<8
+}
+
+func (c *cursor) u64() uint64 {
+	return uint64(c.u16()) | uint64(c.u16())<<16 | uint64(c.u16())<<32 | uint64(c.u16())<<48
 }
 
 func (c *cursor) take(n int) []byte {
@@ -208,4 +213,52 @@ func decodePipeline(data []byte) (*trace.Trace, config.CoreConfig) {
 	c := &cursor{data: data}
 	tr := decodeTrace(c)
 	return tr, decodeConfig(c, 0)
+}
+
+// decodeInsts decodes raw bytes into a well-formed instruction slice of at
+// most maxFuzzInsts instructions, one per up to 20 bytes. The selector byte
+// picks the op class, the branch outcome, and whether the PC and a memory
+// address are full 64-bit values or drawn from small ranges, so both
+// repeating statics and arbitrary wide values occur.
+func decodeInsts(data []byte) []isa.Inst {
+	c := &cursor{data: data}
+	var insts []isa.Inst
+	for c.i < len(c.data) && len(insts) < maxFuzzInsts {
+		sel := c.byte()
+		in := isa.Inst{
+			Op:   isa.OpClass(int(sel) % isa.NumOpClasses),
+			Src1: isa.RegID(c.byte() % isa.NumRegs),
+			Src2: isa.RegID(c.byte() % isa.NumRegs),
+			Dst:  isa.RegID(c.byte() % isa.NumRegs),
+		}
+		if sel&0x40 != 0 {
+			in.PC = c.u64()
+		} else {
+			in.PC = uint64(c.byte()) << 2
+		}
+		switch in.Op {
+		case isa.OpLoad, isa.OpStore:
+			if sel&0x80 != 0 {
+				in.Addr = c.u64()
+			} else {
+				in.Addr = uint64(c.u16()) << 3
+			}
+			if in.Addr == 0 {
+				in.Addr = 8
+			}
+			if in.Op == isa.OpStore {
+				in.Dst = isa.NoReg
+			} else if in.Dst == isa.NoReg {
+				in.Dst = 1
+			}
+		case isa.OpBranch:
+			in.Dst = isa.NoReg
+			in.Taken = sel&0x20 != 0
+			if in.PC == 0 {
+				in.PC = 4
+			}
+		}
+		insts = append(insts, in)
+	}
+	return insts
 }

@@ -8,6 +8,7 @@ package fuzz
 //	go test -fuzz=FuzzPipeline      -fuzztime=30s -run '^$' ./fuzz/
 //	go test -fuzz=FuzzContest       -fuzztime=30s -run '^$' ./fuzz/
 //	go test -fuzz=FuzzResultCacheKey -fuzztime=30s -run '^$' ./fuzz/
+//	go test -fuzz=FuzzTraceRoundTrip -fuzztime=30s -run '^$' ./fuzz/
 
 import (
 	"reflect"
@@ -16,7 +17,9 @@ import (
 	"archcontest/internal/contest"
 	"archcontest/internal/experiments"
 	"archcontest/internal/invariant"
+	"archcontest/internal/isa"
 	"archcontest/internal/sim"
+	"archcontest/internal/trace"
 )
 
 func addSeeds(f *testing.F) {
@@ -231,4 +234,95 @@ func TestSeedRegimes(t *testing.T) {
 	if len(cfgs3) != 3 {
 		t.Errorf("3-way seed decodes %d cores", len(cfgs3))
 	}
+}
+
+// refFingerprint is FNV-1a over a trace's name, its length and every field
+// of every instruction, computed from the raw slice: the definition
+// trace.Fingerprint must meet whatever the trace's stored form.
+func refFingerprint(name string, insts []isa.Inst) uint64 {
+	h := uint64(14695981039346656037)
+	mix := func(v uint64, n int) {
+		for i := 0; i < n; i++ {
+			h ^= v & 0xff
+			h *= 1099511628211
+			v >>= 8
+		}
+	}
+	for i := 0; i < len(name); i++ {
+		mix(uint64(name[i]), 1)
+	}
+	mix(uint64(len(insts)), 8)
+	for _, in := range insts {
+		taken := uint64(0)
+		if in.Taken {
+			taken = 1
+		}
+		mix(in.PC, 8)
+		mix(in.Addr, 8)
+		mix(uint64(in.Src1)|uint64(in.Src2)<<16|uint64(in.Dst)<<32|uint64(in.Op)<<48|taken<<56, 8)
+	}
+	return h
+}
+
+// FuzzTraceRoundTrip: any decodable instruction slice is well formed, and
+// the compact trace built from it returns it exactly through a Reader from
+// the start and from any offset, through At, and through its prefixes, with
+// the fingerprint of the raw slice.
+func FuzzTraceRoundTrip(f *testing.F) {
+	addSeeds(f)
+	// The seeds back to back, repeated: a few hundred instructions, so a
+	// Reader starts past the first 256-instruction mark.
+	var long []byte
+	for len(long) < 8<<10 {
+		for _, s := range SeedCorpus() {
+			long = append(long, s...)
+		}
+	}
+	f.Add(long)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		insts := decodeInsts(data)
+		tr := trace.New("fuzz", insts)
+		if err := tr.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		if tr.Len() != len(insts) {
+			t.Fatalf("length %d, want %d", tr.Len(), len(insts))
+		}
+		if got, want := tr.Fingerprint(), refFingerprint("fuzz", insts); got != want {
+			t.Errorf("fingerprint %#x, want %#x", got, want)
+		}
+		var in isa.Inst
+		for from := 0; from <= len(insts); from += 1 + from/2 {
+			r := tr.Reader(from)
+			for i := from; i < len(insts); i++ {
+				if !r.Next(&in) || in != insts[i] {
+					t.Fatalf("reader from %d: [%d] = %+v, want %+v", from, i, in, insts[i])
+				}
+			}
+			if r.Next(&in) {
+				t.Fatalf("reader from %d read past the end", from)
+			}
+		}
+		for i := range insts {
+			if got := *tr.At(int64(i)); got != insts[i] {
+				t.Fatalf("At(%d) = %+v, want %+v", i, got, insts[i])
+			}
+		}
+		for _, k := range []int{0, len(insts) / 2, len(insts)} {
+			p := tr.Prefix(k)
+			r := p.Reader(0)
+			for i := 0; i < k; i++ {
+				if !r.Next(&in) || in != insts[i] {
+					t.Fatalf("prefix %d: [%d] = %+v, want %+v", k, i, in, insts[i])
+				}
+			}
+			if r.Next(&in) {
+				t.Fatalf("prefix %d read past its length", k)
+			}
+			name := p.Name()
+			if got, want := p.Fingerprint(), refFingerprint(name, insts[:k]); got != want {
+				t.Errorf("prefix %d fingerprint %#x, want %#x", k, got, want)
+			}
+		}
+	})
 }

@@ -7,9 +7,9 @@ package fuzz
 // (TAGE vs bimodal), cold-state kill-refork warm-up, and cache-component
 // diversity (SRRIP/random replacement with both prefetchers). `go run
 // ./fuzz/gen`
-// writes these into testdata/fuzz/<target>/ for every fuzz target; the
-// targets also f.Add them, so `go test` exercises each regime even without
-// -fuzz.
+// writes these into testdata/fuzz/<target>/ for the three engine targets;
+// every target also f.Adds them, so `go test` exercises each regime even
+// without -fuzz.
 
 func pad(b []byte, n int) []byte {
 	out := make([]byte, n)

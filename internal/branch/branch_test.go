@@ -189,10 +189,9 @@ func TestConfigNewRejectsInvalid(t *testing.T) {
 	}
 }
 
-// Regression (PR 9): the constructors used to panic on bad geometry while
-// Config.New returned errors, so a hostile spec could take down a serve
-// node through any path that reached a constructor directly. All geometry
-// problems must now surface as errors; this test panics on the old code.
+// The constructors report bad geometry as errors, never panics, like
+// Config.New: a hostile spec must not take down a serve node through any
+// path that reaches a constructor directly.
 func TestNewReturnsErrorsOnBadSizes(t *testing.T) {
 	if _, err := NewBimodal(0); err == nil {
 		t.Error("NewBimodal(0): expected error")

@@ -238,12 +238,11 @@ func defaultState() state {
 }
 
 // neighbor perturbs one randomly chosen axis by one menu step. The axis
-// count includes the predictor menu (axis 11, added in PR 9) and the
-// replacement-policy and prefetcher menus (axes 12 and 13, the SPI PR):
-// walks from a pre-existing seed therefore visit different states than
-// before, but every determinism property — identical trajectories across
-// Lookahead and Parallelism, split proposal/acceptance streams — is
-// unchanged (see DESIGN.md §15 and §16 for the trajectory-safety argument).
+// count includes the predictor menu (axis 11) and the replacement-policy
+// and prefetcher menus (axes 12 and 13). Every determinism property —
+// identical trajectories across Lookahead and Parallelism, split
+// proposal/acceptance streams — holds over all 14 axes (see DESIGN.md §15
+// and §16 for the trajectory-safety argument).
 func neighbor(s state, r *xrand.RNG) state {
 	for {
 		n := s

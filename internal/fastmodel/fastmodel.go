@@ -124,9 +124,9 @@ func (m *Model) predFor(cfg config.CoreConfig) (*predReplay, error) {
 			pr.err = err
 			return
 		}
-		tr := m.tr
-		for i, n := int64(0), int64(tr.Len()); i < n; i++ {
-			in := tr.At(i)
+		r := m.tr.Reader(0)
+		var in isa.Inst
+		for r.Next(&in) {
 			if in.Op != isa.OpBranch {
 				continue
 			}
@@ -188,10 +188,10 @@ func (m *Model) memFor(cfg config.CoreConfig) (*memReplay, error) {
 				l1.Prefill(pa)
 			}
 		}
-		tr := m.tr
-		mr.level = make([]uint8, tr.Len())
-		for i, n := int64(0), int64(tr.Len()); i < n; i++ {
-			in := tr.At(i)
+		mr.level = make([]uint8, m.tr.Len())
+		r := m.tr.Reader(0)
+		var in isa.Inst
+		for i := int64(0); r.Next(&in); i++ {
 			if !in.IsMem() {
 				continue
 			}
@@ -257,8 +257,7 @@ func (m *Model) Estimate(cfg config.CoreConfig) (Estimate, error) {
 	if err != nil {
 		return Estimate{}, err
 	}
-	tr := m.tr
-	n := int64(tr.Len())
+	n := int64(m.tr.Len())
 
 	l1Lat := int64(cfg.L1D.LatencyCycles)
 	l2Lat := l1Lat + int64(cfg.L2D.LatencyCycles)
@@ -268,8 +267,9 @@ func (m *Model) Estimate(cfg config.CoreConfig) (Estimate, error) {
 	var depth [isa.NumRegs]int64
 	var height int64
 	level := mr.level
-	for i := int64(0); i < n; i++ {
-		in := tr.At(i)
+	r := m.tr.Reader(0)
+	var in isa.Inst
+	for i := 0; r.Next(&in); i++ {
 		d := depth[in.Src1]
 		if d2 := depth[in.Src2]; d2 > d {
 			d = d2

@@ -236,7 +236,7 @@ func (k *CoreChecker) scan(c *pipeline.Core, cycle int64) {
 			if e.InIQ {
 				iqCount++
 			}
-			if c.Trace().At(seq).IsMem() {
+			if e.Inst.IsMem() {
 				lsqCount++
 			}
 			if !e.Completed {

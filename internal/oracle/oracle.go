@@ -87,6 +87,7 @@ type StoreEvent struct {
 // Executor executes a trace in order, one instruction per Step.
 type Executor struct {
 	tr   *trace.Trace
+	rd   trace.Reader // positioned at next
 	next int64
 
 	regs [isa.NumRegs]uint64
@@ -100,6 +101,7 @@ type Executor struct {
 func New(tr *trace.Trace) *Executor {
 	e := &Executor{
 		tr:       tr,
+		rd:       tr.Reader(0),
 		mem:      make(map[uint64]uint64),
 		checksum: 14695981039346656037, // FNV-1a offset basis
 	}
@@ -154,7 +156,8 @@ func (e *Executor) Step() Result {
 	if e.Done() {
 		panic(fmt.Sprintf("oracle: step past the end of %s (%d instructions)", e.tr.Name(), e.tr.Len()))
 	}
-	in := e.tr.At(e.next)
+	var in isa.Inst
+	e.rd.Next(&in)
 	res := Result{Seq: e.next}
 	s1, s2 := e.Reg(in.Src1), e.Reg(in.Src2)
 	switch in.Op {

@@ -10,7 +10,7 @@ package pipeline
 // scanning the ready bitmap in window order, and waiter lists by walking
 // the dependence links in the depHead/depNext field arrays.
 
-import "archcontest/internal/trace"
+import "archcontest/internal/isa"
 
 // EntryView is a read-only projection of one in-flight window entry,
 // gathered from the per-field window arrays. CompleteCycle and ValueReady
@@ -27,6 +27,7 @@ type EntryView struct {
 	InIQ          bool
 	Injected      bool
 	Mispredicted  bool
+	Inst          isa.Inst // the instruction as decoded at fetch
 }
 
 // NoSeq is the absent-sequence marker used by EntryView link fields.
@@ -37,9 +38,6 @@ type Inspector struct{ c *Core }
 
 // Inspect returns the core's read-only inspector.
 func (c *Core) Inspect() Inspector { return Inspector{c: c} }
-
-// Trace reports the trace the core is executing.
-func (c *Core) Trace() *trace.Trace { return c.tr }
 
 // HeadSeq is the oldest in-flight instruction (the next to retire).
 func (i Inspector) HeadSeq() int64 { return i.c.headSeq }
@@ -86,6 +84,7 @@ func (i Inspector) Entry(seq int64) (EntryView, bool) {
 		InIQ:          c.validBM.test(slot),
 		Injected:      fl&flagInjected != 0,
 		Mispredicted:  fl&flagMispredicted != 0,
+		Inst:          c.insts[slot],
 	}, true
 }
 

@@ -212,7 +212,7 @@ type Core struct {
 	cfg  config.CoreConfig
 	opts Options
 	clk  ticks.Clock
-	tr   *trace.Trace
+	rd   trace.Reader // positioned at tailSeq: fetch decodes each instruction once
 	pred branch.Predictor
 	hier *cache.Hierarchy
 
@@ -245,6 +245,7 @@ type Core struct {
 	wheelNext     []int64 // next slot+1 in our timing-wheel bucket, 0 ends the list
 	wakeAt        []int64 // due cycle while flagInWheel is set
 	flags         []uint8
+	insts         []isa.Inst // the instruction, decoded from the trace at fetch
 
 	ringSize  int64 // physical slots, power of two
 	ringMask  int64 // ringSize - 1
@@ -343,7 +344,7 @@ func NewCore(cfg config.CoreConfig, tr *trace.Trace, opts Options) (*Core, error
 		cfg:           cfg,
 		opts:          opts,
 		clk:           cfg.Clock(),
-		tr:            tr,
+		rd:            tr.Reader(0),
 		pred:          pred,
 		hier:          hier,
 		ringSize:      ringSize,
@@ -385,6 +386,7 @@ func NewCore(cfg config.CoreConfig, tr *trace.Trace, opts Options) (*Core, error
 	c.wheelNext = field()
 	c.wakeAt = field()
 	c.flags = make([]uint8, ringSize)
+	c.insts = make([]isa.Inst, ringSize)
 	c.validBM, c.readyBM = newSlotBitmapPair(ringSize)
 	// Size the wheel to cover the common worst-case wake delay (a
 	// queue-free memory-latency load plus scheduler and wake-up depth);
@@ -527,9 +529,8 @@ func (c *Core) dispatchBlocked() bool {
 	if c.dispSeq-c.headSeq >= c.robSize {
 		return true
 	}
-	// Counter check first: the LSQ is rarely full, and testing it before
-	// the class keeps the trace line out of the common path.
-	if c.lsq >= c.lsqSize && c.tr.At(c.dispSeq).IsMem() {
+	// Counter check first: the LSQ is rarely full.
+	if c.lsq >= c.lsqSize && c.insts[c.dispSeq&c.ringMask].IsMem() {
 		return true
 	}
 	fl := c.flags[c.dispSeq&c.ringMask]
@@ -671,7 +672,7 @@ func (c *Core) doRetire() {
 			c.extStalled = true
 			return // exception rendezvous in progress
 		}
-		in := c.tr.At(seq)
+		in := &c.insts[slot]
 		if in.Op == isa.OpStore {
 			if c.sink != nil && !c.sink.CanAccept() {
 				c.extStalled = true
@@ -956,7 +957,7 @@ func (c *Core) wakeDependents(slot int64) {
 // slot. It reports false when the instruction is a divide and the
 // unpipelined divider is busy; the caller re-queues it.
 func (c *Core) issueEntry(seq, slot, now int64) bool {
-	in := c.tr.At(seq)
+	in := &c.insts[slot]
 	execLat := in.Op.Latency()
 	if in.Op == isa.OpLoad {
 		if c.storeDep[slot] != noSeq {
@@ -1070,7 +1071,7 @@ func (c *Core) doDispatch() {
 		if seq-c.headSeq >= c.robSize {
 			return // ROB full
 		}
-		in := c.tr.At(seq)
+		in := &c.insts[slot]
 		isMem := in.IsMem()
 		if isMem && c.lsq >= c.lsqSize {
 			return // LSQ full
@@ -1193,7 +1194,8 @@ func (c *Core) doFetch() {
 		}
 		seq := c.tailSeq
 		slot := seq & c.ringMask
-		in := c.tr.At(seq)
+		in := &c.insts[slot]
+		c.rd.Next(in)
 		// Reset only the fields every entry needs; producer links are
 		// written at dispatch, completion times at completion.
 		c.seqs[slot] = seq
@@ -1203,7 +1205,7 @@ func (c *Core) doFetch() {
 		c.flags[slot] = 0
 		if in.Op == isa.OpDiv {
 			// Cache the divide class in the flags so the event scan can test
-			// divider deferral without touching the trace. An injected divide
+			// divider deferral from the flags alone. An injected divide
 			// overwrites the flag below, but injected entries complete at
 			// fetch and never reach the ready bitmap.
 			c.flags[slot] = flagDiv

@@ -35,6 +35,12 @@ const (
 	KindExplore    = "explore"    // design-space exploration (simulated annealing)
 )
 
+// maxN is the longest trace a spec may ask for: the paper's 100M-instruction
+// SimPoint. Validate rejects anything longer before any trace is generated,
+// so one oversized job cannot exhaust a node's memory (nor, re-placed after
+// the node dies, the next node's).
+const maxN = 100_000_000
+
 // Spec declares one scenario. The zero value is not runnable; fill in at
 // least Kind (or a field that implies it) and the kind's inputs, then
 // Validate (Execute validates again defensively).
@@ -172,6 +178,9 @@ func (sp *Spec) Validate() error {
 	}
 	if sp.N < 0 {
 		return fmt.Errorf("spec: negative trace length n = %d", sp.N)
+	}
+	if sp.N > maxN {
+		return fmt.Errorf("spec: trace length n = %d exceeds the limit of %d instructions", sp.N, maxN)
 	}
 	if sp.LatencyNs < 0 {
 		return fmt.Errorf("spec: negative latency_ns %g", sp.LatencyNs)

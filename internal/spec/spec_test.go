@@ -136,6 +136,8 @@ func TestSpecInvalid(t *testing.T) {
 		{"run with two cores", `{"kind":"run","bench":"gcc","cores":["gcc","mcf"]}`, "exactly one core"},
 		{"contest with one core", `{"kind":"contest","bench":"gcc","cores":["gcc"]}`, "2..8"},
 		{"negative n", `{"kind":"run","bench":"gcc","n":-5}`, "negative trace length"},
+		{"oversized n", `{"kind":"run","bench":"gcc","n":10000000000}`, "limit of 100000000"},
+		{"n one past the limit", `{"kind":"contest","bench":"gcc","cores":["gcc","mcf"],"n":100000001}`, "limit of 100000000"},
 		{"negative max_lag", `{"kind":"contest","bench":"gcc","cores":["gcc","mcf"],"contest":{"MaxLag":-1}}`, "max_lag"},
 		{"negative store queue", `{"kind":"contest","bench":"gcc","cores":["gcc","mcf"],"contest":{"StoreQueueCap":-2}}`, "store_queue_cap"},
 		{"unknown experiment", `{"kind":"experiment","experiment":"figZZ"}`, "unknown experiment"},

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"archcontest/internal/isa"
@@ -127,4 +128,154 @@ func TestFingerprint(t *testing.T) {
 			t.Fatalf("distinct trace collided: %s", other.Name())
 		}
 	}
+}
+
+// roundTrip checks that every read path of tr returns want exactly: a
+// Reader from the start and from every mark-relative offset class, At, and
+// Prefix(k) for a spread of k.
+func roundTrip(t *testing.T, tr *Trace, want []isa.Inst) {
+	t.Helper()
+	if tr.Len() != len(want) {
+		t.Fatalf("len %d, want %d", tr.Len(), len(want))
+	}
+	r := tr.Reader(0)
+	var in isa.Inst
+	for i := range want {
+		if !r.Next(&in) {
+			t.Fatalf("reader ended at %d of %d", i, len(want))
+		}
+		if in != want[i] {
+			t.Fatalf("reader[%d] = %+v, want %+v", i, in, want[i])
+		}
+	}
+	if r.Next(&in) {
+		t.Fatal("reader read past the end")
+	}
+	step := max(1, len(want)/997)
+	for i := 0; i < len(want); i += step {
+		if got := *tr.At(int64(i)); got != want[i] {
+			t.Fatalf("At(%d) = %+v, want %+v", i, got, want[i])
+		}
+		r := tr.Reader(i)
+		if !r.Next(&in) || in != want[i] {
+			t.Fatalf("Reader(%d) first = %+v, want %+v", i, in, want[i])
+		}
+	}
+	for _, k := range []int{0, 1, 255, 256, 257, len(want) / 3, len(want) - 1} {
+		if k < 0 || k > len(want) {
+			continue
+		}
+		p := tr.Prefix(k)
+		if p.Len() != k {
+			t.Fatalf("prefix %d has length %d", k, p.Len())
+		}
+		pr := p.Reader(0)
+		for i := 0; i < k; i++ {
+			if !pr.Next(&in) || in != want[i] {
+				t.Fatalf("prefix %d [%d] = %+v, want %+v", k, i, in, want[i])
+			}
+		}
+		if pr.Next(&in) {
+			t.Fatalf("prefix %d read past its length", k)
+		}
+		if k > 0 && *p.At(int64(k - 1)) != want[k-1] {
+			t.Fatalf("prefix %d At(%d) differs", k, k-1)
+		}
+	}
+}
+
+// TestRoundTripWide: 64-bit PCs and addresses, every op class, malformed
+// instructions too, and more than 65,536 distinct statics, so the four-byte
+// index form runs. Every read path returns the input exactly.
+func TestRoundTripWide(t *testing.T) {
+	const distinct = 70_000
+	var want []isa.Inst
+	for i := 0; i < 2*distinct; i++ {
+		k := uint64(i % distinct)
+		in := isa.Inst{
+			PC:   0xffff_ffff_0000_0000 | k<<3,
+			Op:   isa.OpClass(k % uint64(isa.NumOpClasses)),
+			Src1: isa.RegID(k % 64), Src2: isa.RegID(k / 64 % 64), Dst: isa.RegID(k % 61),
+			Taken: k%3 == 0,
+		}
+		if in.IsMem() || k%7 == 0 {
+			in.Addr = 0xfedc_ba98_7654_3210 ^ uint64(i)*0x9e37_79b9_7f4a_7c15
+		}
+		want = append(want, in)
+	}
+	// Every op class with a zero address, and the extreme values.
+	for op := 0; op <= isa.NumOpClasses; op++ {
+		want = append(want, isa.Inst{Op: isa.OpClass(op)})
+	}
+	want = append(want, isa.Inst{PC: ^uint64(0), Addr: ^uint64(0), Src1: 255, Src2: 255, Dst: 255, Op: 255, Taken: true})
+	tr := New("wide", want)
+	if tr.idx32 == nil {
+		t.Fatal("more than 65,536 statics kept the two-byte index")
+	}
+	roundTrip(t, tr, want)
+}
+
+// TestRoundTripGenerated: a trace built from a generator-like stream takes
+// the two-byte form and costs far less than an isa.Inst per instruction.
+func TestRoundTripGenerated(t *testing.T) {
+	var want []isa.Inst
+	for i := 0; i < 100_000; i++ {
+		in := isa.Inst{PC: 0x40 + uint64(i%40)*4, Op: isa.OpClass(i % 40 % isa.NumOpClasses)}
+		switch in.Op {
+		case isa.OpLoad:
+			in.Dst, in.Addr = 3, 0x1000_0000+uint64(i)*8
+		case isa.OpStore:
+			in.Src2, in.Addr = 3, 0x2000_0000+uint64(i)*8
+		case isa.OpBranch:
+			in.Taken = i%3 == 0
+		default:
+			in.Dst = isa.RegID(1 + i%40)
+		}
+		want = append(want, in)
+	}
+	tr := New("gen", want)
+	if tr.idx16 == nil {
+		t.Fatal("40 statics took the four-byte index")
+	}
+	roundTrip(t, tr, want)
+	if err := tr.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if b := float64(tr.Bytes()) / float64(tr.Len()); b > 5 {
+		t.Errorf("%.2f B/inst, want at most 5", b)
+	}
+}
+
+// TestEmptyTrace: an empty trace reads as empty on every path.
+func TestEmptyTrace(t *testing.T) {
+	tr := New("empty", nil)
+	roundTrip(t, tr, nil)
+	if tr.Mix().Total != 0 || tr.Footprint(64) != 0 || tr.Validate() != nil {
+		t.Error("empty trace has content")
+	}
+}
+
+// TestConcurrentReads: At, Reader and Fingerprint share nothing mutable, so
+// concurrent readers of one trace agree (run under -race).
+func TestConcurrentReads(t *testing.T) {
+	var want []isa.Inst
+	for i := 0; i < 3000; i++ {
+		want = append(want, isa.Inst{PC: uint64(i%50) * 4, Op: isa.OpLoad, Dst: 1, Addr: uint64(i+1) * 8})
+	}
+	tr := New("shared", want)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := g; i < len(want); i += 7 {
+				if got := *tr.At(int64(i)); got != want[i] {
+					t.Errorf("At(%d) = %+v, want %+v", i, got, want[i])
+					return
+				}
+			}
+			tr.Fingerprint()
+		}(g)
+	}
+	wg.Wait()
 }

@@ -64,7 +64,7 @@ type generator struct {
 	rAddr    *xrand.RNG // address jitter
 	rMisc    *xrand.RNG // op mix decisions
 	cat      *xrand.Categorical
-	out      []isa.Inst
+	enc      *trace.Encoder
 	lastArch Archetype
 
 	streamPos  uint64 // load cursor within the stream region
@@ -76,7 +76,7 @@ type generator struct {
 	poolIdx    int
 	scratchWay int
 	lastVal    isa.RegID // most recently produced value; branch conditions read it
-	sites      map[Archetype][]*branchSite
+	sites      [NumArchetypes][]*branchSite
 	siteRot    [NumArchetypes]int // round-robin cursor over each archetype's sites
 }
 
@@ -89,7 +89,6 @@ func newGenerator(p Profile) *generator {
 		rAddr:   root.Split(),
 		rMisc:   root.Split(),
 		cat:     xrand.NewCategorical(p.Weights[:]),
-		sites:   make(map[Archetype][]*branchSite),
 	}
 	g.chainAddr = make([]uint64, p.Chains)
 	for k := range g.chainAddr {
@@ -152,7 +151,7 @@ func (g *generator) pointerAddr(v uint64) uint64 {
 	return pointerRegion + v%(g.p.Footprint/8)*8
 }
 
-func (g *generator) emit(in isa.Inst) { g.out = append(g.out, in) }
+func (g *generator) emit(in isa.Inst) { g.enc.Add(&in) }
 
 // emitBranch emits a branch whose condition reads the most recently
 // produced value. Tying the condition to live data makes branch resolution
@@ -427,7 +426,9 @@ func (g *generator) nextArchetype() Archetype {
 	return a
 }
 
-// Generate synthesizes a trace of n dynamic instructions for the profile.
+// Generate synthesizes a trace of n dynamic instructions for the profile,
+// encoding them as they are generated (no phase overshoots its budget, so
+// the trace is exactly n long).
 func Generate(p Profile, n int) (*trace.Trace, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -439,8 +440,8 @@ func Generate(p Profile, n int) (*trace.Trace, error) {
 		return nil, fmt.Errorf("workload %s: %d chains exceeds register budget %d", p.Name, p.Chains, maxChains)
 	}
 	g := newGenerator(p)
-	g.out = make([]isa.Inst, 0, n)
-	for len(g.out) < n {
+	g.enc = trace.NewEncoder(n)
+	for g.enc.Len() < n {
 		a := g.nextArchetype()
 		mean := p.MeanPhaseLen[a]
 		if mean < 8 {
@@ -450,12 +451,12 @@ func Generate(p Profile, n int) (*trace.Trace, error) {
 		if budget < 8 {
 			budget = 8
 		}
-		if rem := n - len(g.out); budget > rem {
+		if rem := n - g.enc.Len(); budget > rem {
 			budget = rem
 		}
 		g.runPhase(a, budget)
 	}
-	tr := trace.New(p.Name, g.out[:n])
+	tr := g.enc.Trace(p.Name)
 	if err := tr.Validate(); err != nil {
 		return nil, fmt.Errorf("workload %s: generated invalid trace: %w", p.Name, err)
 	}
