@@ -264,10 +264,32 @@ func refFingerprint(name string, insts []isa.Inst) uint64 {
 	return h
 }
 
+// widthSwitchSeed encodes, in decodeInsts' layout, 400 loads with 32-bit
+// addresses, one load at 2^32 and 400 more narrow loads: a trace whose
+// addresses cross 2^32 mid-stream, between the marks at 256 and 512.
+func widthSwitchSeed() []byte {
+	narrow := func(i int) []byte { // op, three registers, PC byte, u16 address
+		return []byte{byte(isa.OpLoad), 1, 2, 3, byte(i), byte(i), byte(i>>8) | 1}
+	}
+	wideSel := 0x80 // address as a full u64, PC as one byte
+	for wideSel%isa.NumOpClasses != int(isa.OpLoad) {
+		wideSel++
+	}
+	var b []byte
+	for i := 0; i < 400; i++ {
+		b = append(b, narrow(i)...)
+	}
+	b = append(b, byte(wideSel), 1, 2, 3, 0, 0, 0, 0, 0, 1, 0, 0, 0)
+	for i := 0; i < 400; i++ {
+		b = append(b, narrow(i)...)
+	}
+	return b
+}
+
 // FuzzTraceRoundTrip: any decodable instruction slice is well formed, and
 // the compact trace built from it returns it exactly through a Reader from
-// the start and from any offset, through At, and through its prefixes, with
-// the fingerprint of the raw slice.
+// the start, from any offset and from either side of every mark, through
+// At, and through its prefixes, with the fingerprint of the raw slice.
 func FuzzTraceRoundTrip(f *testing.F) {
 	addSeeds(f)
 	// The seeds back to back, repeated: a few hundred instructions, so a
@@ -279,6 +301,7 @@ func FuzzTraceRoundTrip(f *testing.F) {
 		}
 	}
 	f.Add(long)
+	f.Add(widthSwitchSeed())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		insts := decodeInsts(data)
 		tr := trace.New("fuzz", insts)
@@ -292,7 +315,14 @@ func FuzzTraceRoundTrip(f *testing.F) {
 			t.Errorf("fingerprint %#x, want %#x", got, want)
 		}
 		var in isa.Inst
+		var starts []int
 		for from := 0; from <= len(insts); from += 1 + from/2 {
+			starts = append(starts, from)
+		}
+		for m := 256; m <= len(insts); m += 256 {
+			starts = append(starts, m-1, m)
+		}
+		for _, from := range starts {
 			r := tr.Reader(from)
 			for i := from; i < len(insts); i++ {
 				if !r.Next(&in) || in != insts[i] {

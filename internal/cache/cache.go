@@ -33,6 +33,12 @@ type Config struct {
 	ReplParams  string `json:",omitempty"`
 }
 
+// MaxLines bounds a level's lines (Sets × Assoc). New allocates state for
+// every line up front, so an unbounded geometry could exhaust memory before
+// the first access; the explore menus reach 2^19 lines and the Appendix A
+// palette 2^15.
+const MaxLines = 1 << 20
+
 // Validate reports whether the configuration is well formed.
 func (c Config) Validate() error {
 	if c.Sets <= 0 || c.Sets&(c.Sets-1) != 0 {
@@ -40,6 +46,9 @@ func (c Config) Validate() error {
 	}
 	if c.Assoc <= 0 {
 		return fmt.Errorf("cache: associativity %d not positive", c.Assoc)
+	}
+	if c.Assoc > MaxLines/c.Sets {
+		return fmt.Errorf("cache: %d sets x %d ways exceeds the limit of %d lines", c.Sets, c.Assoc, MaxLines)
 	}
 	if c.BlockBytes <= 0 || c.BlockBytes&(c.BlockBytes-1) != 0 {
 		return fmt.Errorf("cache: block size %d not a positive power of two", c.BlockBytes)

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -16,6 +17,9 @@ func TestConfigValidate(t *testing.T) {
 		cfg(1, 1, 8, 1),
 		cfg(1024, 4, 64, 3),
 		cfg(32, 16, 512, 12),
+		cfg(1<<10, 1<<10, 64, 1), // exactly MaxLines
+		cfg(1<<20, 1, 64, 1),
+		cfg(1, 1<<20, 64, 1),
 	}
 	for _, c := range good {
 		if err := c.Validate(); err != nil {
@@ -35,6 +39,26 @@ func TestConfigValidate(t *testing.T) {
 	for _, c := range bad {
 		if err := c.Validate(); err == nil {
 			t.Errorf("%v accepted", c)
+		}
+	}
+}
+
+// TestConfigValidateLineLimit: a level of more than MaxLines lines is
+// rejected with the limit named, before New could allocate it, and the
+// product cannot overflow past the check.
+func TestConfigValidateLineLimit(t *testing.T) {
+	for _, c := range []Config{
+		cfg(1<<30, 1<<10, 64, 1), // 2^40 lines
+		cfg(1<<10, 1<<10+1, 64, 1),
+		cfg(1<<20, 2, 64, 1),
+		cfg(1, 1<<20+1, 64, 1),
+		cfg(1<<62, 1<<62, 64, 1), // the product wraps to zero
+	} {
+		err := c.Validate()
+		if err == nil {
+			t.Errorf("%d sets x %d ways accepted", c.Sets, c.Assoc)
+		} else if !strings.Contains(err.Error(), "limit of 1048576 lines") {
+			t.Errorf("%d sets x %d ways: error %q does not name the limit", c.Sets, c.Assoc, err)
 		}
 	}
 }

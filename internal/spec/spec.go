@@ -41,6 +41,14 @@ const (
 // the node dies, the next node's).
 const maxN = 100_000_000
 
+// The explore kind's limits, checked by Validate for the same reason as
+// maxN: the annealer allocates its lookahead window at once, and every step
+// can cost a detailed simulation.
+const (
+	maxLookahead    = 64
+	maxExploreSteps = 100_000
+)
+
 // Spec declares one scenario. The zero value is not runnable; fill in at
 // least Kind (or a field that implies it) and the kind's inputs, then
 // Validate (Execute validates again defensively).
@@ -208,23 +216,24 @@ func (sp *Spec) Validate() error {
 		}
 	}
 
-	cfgs, err := sp.ResolveCores()
-	if err != nil {
-		return err
-	}
-	switch sp.Kind {
+	// Count the cores before resolving them: validating a custom core
+	// builds its branch predictor.
+	switch cores := len(sp.Cores) + len(sp.Custom); sp.Kind {
 	case KindRun:
-		if len(cfgs) != 1 {
-			return fmt.Errorf("spec: kind run wants exactly one core, got %d", len(cfgs))
+		if cores != 1 {
+			return fmt.Errorf("spec: kind run wants exactly one core, got %d", cores)
 		}
 	case KindContest:
-		if len(cfgs) < 2 || len(cfgs) > 8 {
-			return fmt.Errorf("spec: kind contest wants 2..8 cores, got %d", len(cfgs))
+		if cores < 2 || cores > 8 {
+			return fmt.Errorf("spec: kind contest wants 2..8 cores, got %d", cores)
 		}
 	default:
-		if len(cfgs) != 0 {
+		if cores != 0 {
 			return fmt.Errorf("spec: kind %q takes no cores", sp.Kind)
 		}
+	}
+	if _, err := sp.ResolveCores(); err != nil {
+		return err
 	}
 
 	if sp.Contest != nil {
@@ -254,6 +263,9 @@ func (sp *Spec) Validate() error {
 	if sp.Run != nil && sp.Kind != KindRun {
 		return fmt.Errorf("spec: run options on kind %q", sp.Kind)
 	}
+	if sp.Explore != nil && sp.Kind != KindExplore {
+		return fmt.Errorf("spec: explore options on kind %q", sp.Kind)
+	}
 
 	switch sp.Kind {
 	case KindExperiment:
@@ -271,6 +283,12 @@ func (sp *Spec) Validate() error {
 		e := sp.Explore
 		if e.Steps < 0 || e.Lookahead < 0 {
 			return fmt.Errorf("spec: negative explore parameter")
+		}
+		if e.Steps > maxExploreSteps {
+			return fmt.Errorf("spec: explore steps %d exceeds the limit of %d", e.Steps, maxExploreSteps)
+		}
+		if e.Lookahead > maxLookahead {
+			return fmt.Errorf("spec: explore lookahead %d exceeds the limit of %d", e.Lookahead, maxLookahead)
 		}
 		if e.FastMargin < 0 {
 			return fmt.Errorf("spec: negative explore fast margin")

@@ -119,9 +119,31 @@ func TestSpecInferKind(t *testing.T) {
 	}
 }
 
+// hostileSpecs are shapes that parse and, without admission limits, would
+// make a node allocate until it dies: a cache level of 2^40 lines, an
+// explore window of 10^8 candidates, and nine custom cores whose predictors
+// Validate would build before counting them.
+func hostileSpecs() map[string]string {
+	huge := config.MustPaletteCore("gcc")
+	huge.Name = "huge"
+	huge.L1D.Sets, huge.L1D.Assoc = 1<<30, 1<<10
+	hugeJSON, err := json.Marshal(huge)
+	if err != nil {
+		panic(err)
+	}
+	nine := strings.Repeat(`{"Name":"bad","Width":0},`, 9)
+	return map[string]string{
+		"cache": `{"kind":"run","bench":"gcc","custom":[` + string(hugeJSON) + `]}`,
+		"explore": `{"kind":"explore","bench":"gcc","n":1000,` +
+			`"explore":{"steps":100000000,"lookahead":100000000}}`,
+		"cores": `{"kind":"contest","bench":"gcc","custom":[` + nine[:len(nine)-1] + `]}`,
+	}
+}
+
 // TestSpecInvalid: malformed scenarios are descriptive errors, never
-// panics deep inside the engines.
+// panics deep inside the engines. No case executes anything.
 func TestSpecInvalid(t *testing.T) {
+	hostile := hostileSpecs()
 	cases := []struct {
 		name    string
 		json    string
@@ -146,6 +168,13 @@ func TestSpecInvalid(t *testing.T) {
 		{"unknown explore mode", `{"kind":"explore","bench":"gcc","explore":{"mode":"temper"}}`, `unknown field "mode"`},
 		{"verify on explore", `{"kind":"explore","bench":"gcc","verify":true}`, "verify"},
 		{"pairs on run", `{"kind":"run","bench":"gcc","pairs":2}`, "pairs"},
+		{"cache level over the line limit", hostile["cache"], "exceeds the limit of 1048576 lines"},
+		{"explore window of 10^8", hostile["explore"], "steps 100000000 exceeds the limit of 100000"},
+		{"explore steps one past the limit", `{"kind":"explore","bench":"gcc","explore":{"steps":100001}}`, "limit of 100000"},
+		{"explore lookahead one past the limit", `{"kind":"explore","bench":"gcc","explore":{"steps":10,"lookahead":65}}`, "lookahead 65 exceeds the limit of 64"},
+		{"nine custom cores counted before validation", hostile["cores"], "2..8 cores, got 9"},
+		{"two custom cores on run", `{"kind":"run","bench":"gcc","custom":[{"Name":"a"},{"Name":"b"}]}`, "exactly one core, got 2"},
+		{"explore options on run", `{"kind":"run","bench":"gcc","explore":{"steps":5}}`, "explore options"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

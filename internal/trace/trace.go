@@ -14,15 +14,20 @@
 // every trace, however it was built, is stored in one lossless compact form:
 //
 //   - a table of the distinct static instructions (PC, op, sources,
-//     destination and branch outcome), in order of first appearance;
+//     destination, branch outcome and the high 32 bits of their addresses),
+//     in order of first appearance;
 //   - for each dynamic instruction, the index of its static, two bytes wide
 //     while the table holds at most 65,536 entries and four bytes beyond;
-//   - the nonzero memory addresses, in order: for a well-formed trace,
-//     exactly its load and store addresses;
+//   - the low 32 bits of the nonzero memory addresses, in order: for a
+//     well-formed trace, exactly its load and store addresses;
 //   - the address cursor at every 256th instruction, so a Reader can start
 //     anywhere without decoding from the beginning.
 //
-// A generated trace costs 2.5–5.5 bytes per instruction instead of the 24 of
+// Instructions that differ only in the high half of their address are
+// distinct statics. Every address a generated trace carries lies below 2^32,
+// so its statics are those of its PCs and fields alone.
+//
+// A generated trace costs 2.3–3.9 bytes per instruction instead of the 24 of
 // an isa.Inst. An Encoder builds the form one instruction at a time.
 package trace
 
@@ -43,19 +48,32 @@ const markShift = 8
 // code is a trace's encoded instruction stream (see the package comment).
 // A prefix shares its parent's code and caps the length.
 type code struct {
-	// statics holds each distinct instruction with Addr standing for
-	// whether it carries an address: 1 if it does, 0 if not.
+	// statics holds each distinct instruction with its Addr field in the
+	// form addrField gives it.
 	statics []isa.Inst
 	// idx16 or idx32 (exactly one is non-nil) holds each dynamic
 	// instruction's index into statics.
 	idx16 []uint16
 	idx32 []uint32
-	// addrs holds the carried addresses in order, plus one zero pad so a
-	// Reader may load one address ahead without a bounds branch.
-	addrs []uint64
+	// addrs holds the low halves of the carried addresses in order, plus
+	// one zero pad so a Reader may load one address ahead without a bounds
+	// branch.
+	addrs []uint32
 	// marks[k] is the number of addresses carried before instruction
 	// k<<markShift, for every such instruction up to the trace's length.
 	marks []int
+}
+
+// addrField returns the Addr field of the static for an instruction with
+// address addr: 0 when it carries none, and otherwise the address's high
+// half over 32 one bits. A Reader then fills an address from its low half
+// with one OR and one AND, and advances the address cursor by the field's
+// lowest bit.
+func addrField(addr uint64) uint64 {
+	if addr == 0 {
+		return 0
+	}
+	return addr | 0xffff_ffff
 }
 
 // Trace is an immutable dynamic instruction stream.
@@ -91,7 +109,7 @@ func (t *Trace) Len() int { return t.n }
 func (t *Trace) Bytes() int64 {
 	return int64(len(t.statics))*int64(unsafe.Sizeof(isa.Inst{})) +
 		int64(len(t.idx16))*2 + int64(len(t.idx32))*4 +
-		int64(len(t.addrs))*8 + int64(len(t.marks))*int64(unsafe.Sizeof(int(0)))
+		int64(len(t.addrs))*4 + int64(len(t.marks))*int64(unsafe.Sizeof(int(0)))
 }
 
 // At decodes instruction i into a fresh value on every call, at a cost of up
@@ -121,9 +139,14 @@ func (t *Trace) Prefix(n int) *Trace {
 	return &Trace{name: fmt.Sprintf("%s[:%d]", t.name, n), n: n, code: t.code}
 }
 
-// Reader reads a trace's instructions in order.
+// Reader reads a trace's instructions in order. It holds its trace's
+// streams as fields of its own rather than an embedded code, which keeps
+// Next within the compiler's inlining budget.
 type Reader struct {
-	code
+	statics  []isa.Inst
+	idx16    []uint16
+	idx32    []uint32
+	addrs    []uint32
 	pos, end int // next instruction, trace length
 	apos     int // next address
 }
@@ -134,7 +157,10 @@ func (t *Trace) Reader(from int) Reader {
 		panic(fmt.Sprintf("trace %s: reader at %d of %d", t.name, from, t.n))
 	}
 	k := from >> markShift
-	r := Reader{code: t.code, pos: k << markShift, end: t.n, apos: t.marks[k]}
+	r := Reader{
+		statics: t.statics, idx16: t.idx16, idx32: t.idx32, addrs: t.addrs,
+		pos: k << markShift, end: t.n, apos: t.marks[k],
+	}
 	var skip isa.Inst
 	for r.pos < from {
 		r.Next(&skip)
@@ -156,12 +182,13 @@ func (r *Reader) Next(in *isa.Inst) bool {
 	}
 	r.pos++
 	st := &r.statics[s]
-	// Branch-free address fill: the static's Addr is 1 when it carries an
-	// address and 0 when not, and the zero pad keeps the read in bounds.
-	carry := st.Addr
+	// Branch-free address fill (see addrField): a static's Addr is 0, or
+	// the high half over 32 one bits, and the zero pad keeps the read in
+	// bounds.
+	a := st.Addr
 	*in = *st
-	in.Addr = r.addrs[r.apos] & -carry
-	r.apos += int(carry)
+	in.Addr = (uint64(r.addrs[r.apos]) | 0xffff_ffff_0000_0000) & a
+	r.apos += int(a & 1)
 	return true
 }
 
@@ -171,11 +198,22 @@ func (r *Reader) Next(in *isa.Inst) bool {
 type Encoder struct {
 	code
 	n int
-	// table is a linear-probing hash table over the statics. Its length
-	// is a power of two at least twice the number of statics; a key's
-	// home slot is the top bits of its hash, 64-shift of them.
+	// table is a linear-probing hash table over the statics whose
+	// addresses, if any, lie below 2^32. Its length is a power of two at
+	// least twice the number of statics; a key's home slot is the top bits
+	// of its hash, 64-shift of them.
 	table []slot
 	shift uint
+	// high finds the statics whose addresses lie at or above 2^32, keyed
+	// by the high half too. No generated trace has one.
+	high map[highKey]uint32
+}
+
+// highKey identifies a static whose addresses lie at or above 2^32: its PC,
+// its packed fields and the high half of its addresses.
+type highKey struct {
+	pc, f uint64
+	hi    uint32
 }
 
 // slot is one entry of an Encoder's table: a static's PC, and its other
@@ -208,14 +246,15 @@ func home(pc, f uint64, shift uint) int {
 	return int((pc ^ bits.RotateLeft64(f, 32)) * 0x9e3779b97f4a7c15 >> (shift & 63))
 }
 
-// NewEncoder returns an encoder with room for n instructions, an address
-// for each included, so the streams never grow by copying; Trace copies
-// the addresses to an exact fit.
+// NewEncoder returns an encoder with room for n instructions and n/2
+// addresses. Generated traces carry 0.05–0.43 addresses per instruction, so
+// their streams never grow by copying; one that carries more grows its
+// address stream by appending. Trace copies the streams to an exact fit.
 func NewEncoder(n int) *Encoder {
 	const bits = 10
 	e := &Encoder{table: make([]slot, 1<<bits), shift: 64 - bits}
 	e.idx16 = make([]uint16, 0, n)
-	e.addrs = make([]uint64, 0, n+1)
+	e.addrs = make([]uint32, 0, n/2+1)
 	e.marks = make([]int, 0, n>>markShift+1)
 	return e
 }
@@ -231,20 +270,24 @@ func (e *Encoder) Add(in *isa.Inst) {
 	e.n++
 	f := fields(in)
 	if in.Addr != 0 {
-		e.addrs = append(e.addrs, in.Addr)
+		e.addrs = append(e.addrs, uint32(in.Addr))
 	}
-	mask := len(e.table) - 1
 	var i uint32
-	for j := home(in.PC, f, e.shift); ; j = (j + 1) & mask {
-		sl := &e.table[j]
-		if sl.key == 0 {
-			i = e.insert(in, f, j)
-			break
+	if in.Addr>>32 == 0 {
+		mask := len(e.table) - 1
+		for j := home(in.PC, f, e.shift); ; j = (j + 1) & mask {
+			sl := &e.table[j]
+			if sl.key == 0 {
+				i = e.insert(in, f, j)
+				break
+			}
+			if sl.pc == in.PC && sl.key&(1<<indexShift-1) == f {
+				i = uint32(sl.key>>indexShift) - 1
+				break
+			}
 		}
-		if sl.pc == in.PC && sl.key&(1<<indexShift-1) == f {
-			i = uint32(sl.key>>indexShift) - 1
-			break
-		}
+	} else {
+		i = e.highStatic(in, f)
 	}
 	if e.idx16 != nil {
 		e.idx16 = append(e.idx16, uint16(i))
@@ -254,16 +297,9 @@ func (e *Encoder) Add(in *isa.Inst) {
 }
 
 // insert adds a new static with packed fields f at empty table slot j and
-// returns its index, growing the table and widening the index stream as
-// needed.
+// returns its index, growing the table as needed.
 func (e *Encoder) insert(in *isa.Inst, f uint64, j int) uint32 {
-	i := len(e.statics)
-	if i == 1<<(64-indexShift)-1 {
-		panic("trace: more than 2^30-1 distinct static instructions")
-	}
-	s := *in
-	s.Addr = f >> 33
-	e.statics = append(e.statics, s)
+	i := e.newStatic(in)
 	e.table[j] = slot{pc: in.PC, key: f | uint64(i+1)<<indexShift}
 	if 2*len(e.statics) > len(e.table) {
 		e.table = make([]slot, 2*len(e.table))
@@ -271,6 +307,9 @@ func (e *Encoder) insert(in *isa.Inst, f uint64, j int) uint32 {
 		mask := len(e.table) - 1
 		for k := range e.statics {
 			s := &e.statics[k]
+			if s.Addr>>32 != 0 {
+				continue // found through high, not the table
+			}
 			f := fields(s)
 			j := home(s.PC, f, e.shift)
 			for e.table[j].key != 0 {
@@ -279,8 +318,35 @@ func (e *Encoder) insert(in *isa.Inst, f uint64, j int) uint32 {
 			e.table[j] = slot{pc: s.PC, key: f | uint64(k+1)<<indexShift}
 		}
 	}
+	return i
+}
+
+// highStatic returns the index of the static for an instruction whose
+// address lies at or above 2^32, adding the static if it is new.
+func (e *Encoder) highStatic(in *isa.Inst, f uint64) uint32 {
+	k := highKey{pc: in.PC, f: f, hi: uint32(in.Addr >> 32)}
+	i, ok := e.high[k]
+	if !ok {
+		if e.high == nil {
+			e.high = make(map[highKey]uint32)
+		}
+		i = e.newStatic(in)
+		e.high[k] = i
+	}
+	return i
+}
+
+// newStatic appends in to the statics and returns its index, widening the
+// index stream when the statics outgrow two-byte indices.
+func (e *Encoder) newStatic(in *isa.Inst) uint32 {
+	i := len(e.statics)
+	if i == 1<<(64-indexShift)-1 {
+		panic("trace: more than 2^30-1 distinct static instructions")
+	}
+	s := *in
+	s.Addr = addrField(in.Addr)
+	e.statics = append(e.statics, s)
 	if i == 1<<16 {
-		// The table outgrew two-byte indices: widen the stream.
 		e.idx32 = make([]uint32, len(e.idx16), cap(e.idx16))
 		for k, v := range e.idx16 {
 			e.idx32[k] = uint32(v)

@@ -131,8 +131,8 @@ func TestFingerprint(t *testing.T) {
 }
 
 // roundTrip checks that every read path of tr returns want exactly: a
-// Reader from the start and from every mark-relative offset class, At, and
-// Prefix(k) for a spread of k.
+// Reader from the start, from every mark and the instruction before it, and
+// from every mark-relative offset class, At, and Prefix(k) for a spread of k.
 func roundTrip(t *testing.T, tr *Trace, want []isa.Inst) {
 	t.Helper()
 	if tr.Len() != len(want) {
@@ -150,6 +150,14 @@ func roundTrip(t *testing.T, tr *Trace, want []isa.Inst) {
 	}
 	if r.Next(&in) {
 		t.Fatal("reader read past the end")
+	}
+	for m := 1 << markShift; m < len(want); m += 1 << markShift {
+		for _, i := range []int{m - 1, m} {
+			r := tr.Reader(i)
+			if !r.Next(&in) || in != want[i] {
+				t.Fatalf("Reader(%d) first = %+v, want %+v", i, in, want[i])
+			}
+		}
 	}
 	step := max(1, len(want)/997)
 	for i := 0; i < len(want); i += step {
@@ -184,12 +192,27 @@ func roundTrip(t *testing.T, tr *Trace, want []isa.Inst) {
 	}
 }
 
+// highStatics counts the statics of tr whose addresses lie at or above 2^32.
+func highStatics(tr *Trace) int {
+	n := 0
+	for _, s := range tr.statics {
+		if s.Addr>>32 != 0 {
+			n++
+		}
+	}
+	return n
+}
+
 // TestRoundTripWide: 64-bit PCs and addresses, every op class, malformed
 // instructions too, and more than 65,536 distinct statics, so the four-byte
-// index form runs. Every read path returns the input exactly.
+// index form runs. The addresses fit in 32 bits up to instruction
+// narrowUntil and then cross 2^32, between two marks. Every read path
+// returns the input exactly.
 func TestRoundTripWide(t *testing.T) {
 	const distinct = 70_000
+	const narrowUntil = 1000
 	var want []isa.Inst
+	wide := false
 	for i := 0; i < 2*distinct; i++ {
 		k := uint64(i % distinct)
 		in := isa.Inst{
@@ -200,6 +223,14 @@ func TestRoundTripWide(t *testing.T) {
 		}
 		if in.IsMem() || k%7 == 0 {
 			in.Addr = 0xfedc_ba98_7654_3210 ^ uint64(i)*0x9e37_79b9_7f4a_7c15
+			switch {
+			case i == 0:
+				in.Addr = 1<<32 - 1 // the largest address below 2^32
+			case i < narrowUntil:
+				in.Addr = uint64(uint32(in.Addr)) | 1
+			case !wide:
+				in.Addr, wide = 1<<32, true // the smallest one at or above it
+			}
 		}
 		want = append(want, in)
 	}
@@ -212,7 +243,49 @@ func TestRoundTripWide(t *testing.T) {
 	if tr.idx32 == nil {
 		t.Fatal("more than 65,536 statics kept the two-byte index")
 	}
+	if highStatics(tr) == 0 {
+		t.Fatal("no static holds a high address half")
+	}
 	roundTrip(t, tr, want)
+	roundTrip(t, tr.Prefix(narrowUntil), want[:narrowUntil])
+}
+
+// TestAddressHighHalves: one load's addresses below 2^32 share a static,
+// and each high half at or above 2^32 gives it another, wherever in the
+// trace it first appears.
+func TestAddressHighHalves(t *testing.T) {
+	load := func(a uint64) isa.Inst { return isa.Inst{Op: isa.OpLoad, Dst: 1, Addr: a} }
+	for _, c := range []struct {
+		addrs         []uint64
+		statics, high int // all statics (the ALU op's included), those with a high half
+	}{
+		{[]uint64{8, 1<<32 - 1}, 2, 0},
+		{[]uint64{1 << 32}, 2, 1},
+		{[]uint64{8, 16, 1 << 32, 24}, 3, 1},
+		{[]uint64{^uint64(0), 8, 1<<63 | 8, ^uint64(0) - 8}, 4, 2},
+	} {
+		var want []isa.Inst
+		for _, a := range c.addrs {
+			want = append(want, load(a), isa.Inst{Op: isa.OpALU, Dst: 2})
+		}
+		tr := New("high", want)
+		if got := highStatics(tr); got != c.high {
+			t.Errorf("%#x: %d statics with a high half, want %d", c.addrs, got, c.high)
+		}
+		if got := len(tr.statics); got != c.statics {
+			t.Errorf("%#x: %d statics, want %d", c.addrs, got, c.statics)
+		}
+		roundTrip(t, tr, want)
+	}
+	// The load above 2^32 first, then enough statics to regrow the table
+	// twice, then the same load below 2^32: the regrown table must not
+	// hand it the static with the high half.
+	want := []isa.Inst{load(1<<32 | 8)}
+	for pc := uint64(1); pc <= 3000; pc++ {
+		want = append(want, isa.Inst{Op: isa.OpALU, PC: pc << 2, Dst: 2})
+	}
+	want = append(want, load(8))
+	roundTrip(t, New("regrown", want), want)
 }
 
 // TestRoundTripGenerated: a trace built from a generator-like stream takes
@@ -237,12 +310,15 @@ func TestRoundTripGenerated(t *testing.T) {
 	if tr.idx16 == nil {
 		t.Fatal("40 statics took the four-byte index")
 	}
+	if highStatics(tr) != 0 {
+		t.Fatal("addresses below 2^32 gave a static a high half")
+	}
 	roundTrip(t, tr, want)
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if b := float64(tr.Bytes()) / float64(tr.Len()); b > 5 {
-		t.Errorf("%.2f B/inst, want at most 5", b)
+	if b := float64(tr.Bytes()) / float64(tr.Len()); b > 4 {
+		t.Errorf("%.2f B/inst, want at most 4", b)
 	}
 }
 

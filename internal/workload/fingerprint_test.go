@@ -29,3 +29,31 @@ func TestTraceFingerprintPin(t *testing.T) {
 		}
 	}
 }
+
+// TestTraceBytesPin pins the resident size of every benchmark's trace at
+// n = 100,000: a deterministic counter for the trace's memory, which wall
+// time and RSS measure only through host noise. A change to the encoding or
+// to the generator that moves any trace's size shows here.
+func TestTraceBytesPin(t *testing.T) {
+	want := map[string]int64{
+		"bzip":   347_268,
+		"crafty": 282_240,
+		"gap":    386_652,
+		"gcc":    381_200,
+		"gzip":   389_904,
+		"mcf":    433_688,
+		"parser": 378_880,
+		"perl":   314_920,
+		"twolf":  418_576,
+		"vortex": 334_680,
+		"vpr":    404_968,
+	}
+	if len(want) != len(Benchmarks()) {
+		t.Fatalf("%d pins for %d benchmarks", len(want), len(Benchmarks()))
+	}
+	for _, name := range Benchmarks() {
+		if got := MustGenerate(name, 100_000).Bytes(); got != want[name] {
+			t.Errorf("%s: %d resident bytes, want %d", name, got, want[name])
+		}
+	}
+}
