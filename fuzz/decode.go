@@ -12,10 +12,9 @@
 //
 //	go test -fuzz=FuzzContest -fuzztime=30s -run '^$' ./fuzz/
 //
-// The seed corpus is SeedCorpus (seeds.go), which every target adds with
-// f.Add; it covers the interesting regimes by construction: exception
-// rendezvous, saturated laggers, and store-queue backpressure. No corpus
-// file is checked in, so each seed is defined, and run, once.
+// The checked-in seed corpus under testdata/fuzz/ is regenerated by
+// `go run ./fuzz/gen` and covers the interesting regimes by construction:
+// exception rendezvous, saturated laggers, and store-queue backpressure.
 package fuzz
 
 import (

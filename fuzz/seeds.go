@@ -5,9 +5,11 @@ package fuzz
 // engine defaults, exception rendezvous (both handler styles), a saturated
 // lagger, store-queue backpressure, a 3-way contest, predictor diversity
 // (TAGE vs bimodal), cold-state kill-refork warm-up, and cache-component
-// diversity (SRRIP/random replacement with both prefetchers). Every target
-// f.Adds them, so `go test` exercises each regime even without -fuzz, and a
-// -fuzz run starts from them; they are the only copy of the corpus.
+// diversity (SRRIP/random replacement with both prefetchers). `go run
+// ./fuzz/gen`
+// writes these into testdata/fuzz/<target>/ for the three engine targets;
+// every target also f.Adds them, so `go test` exercises each regime even
+// without -fuzz.
 
 func pad(b []byte, n int) []byte {
 	out := make([]byte, n)
