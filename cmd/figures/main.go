@@ -105,7 +105,7 @@ func main() {
 			log.Fatalf("metrics: %v", err)
 		}
 	}
-	cmdutil.PrintCacheStats(env.Cache)
+	cmdutil.PrintCacheStats(os.Stderr, env.Cache)
 }
 
 // experimentIDs parses the -experiment list: empty selects every registered

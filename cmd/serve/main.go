@@ -61,7 +61,8 @@ func main() {
 	probe := flag.Duration("probe", 500*time.Millisecond, "node health-probe interval (coordinator mode)")
 	drainTimeout := flag.Duration("drain", 10*time.Minute, "max time to drain in-flight jobs on shutdown")
 	openCache := cmdutil.CacheFlags(nil)
-	obsFlags := cmdutil.ObsFlags(nil)
+	var obsFlags cmdutil.ObsSet
+	flag.StringVar(&obsFlags.Pprof, "pprof", "", "serve net/http/pprof and expvar on this address (e.g. localhost:6060)")
 	flag.Parse()
 	obsFlags.StartPprof()
 
@@ -124,7 +125,7 @@ func main() {
 			log.Fatalf("jobs stuck after hard cancel: %v", err)
 		}
 	}
-	cmdutil.PrintCacheStats(env.Cache)
+	cmdutil.PrintCacheStats(os.Stderr, env.Cache)
 	log.Printf("drained, exiting")
 }
 

@@ -56,8 +56,8 @@ type Bimodal struct {
 // NewBimodal returns a bimodal predictor with 2^logSize counters,
 // initialized to weakly taken. It returns an error on invalid geometry.
 func NewBimodal(logSize int) (*Bimodal, error) {
-	if logSize < 1 || logSize > 24 {
-		return nil, fmt.Errorf("branch: bimodal logSize %d out of range [1,24]", logSize)
+	if err := checkBimodal(logSize); err != nil {
+		return nil, err
 	}
 	b := &Bimodal{
 		table: make([]counter, 1<<logSize),
@@ -98,11 +98,8 @@ type Gshare struct {
 // global history length. historyBits must not exceed logSize. It returns an
 // error on invalid geometry.
 func NewGshare(logSize, historyBits int) (*Gshare, error) {
-	if logSize < 1 || logSize > 24 {
-		return nil, fmt.Errorf("branch: gshare logSize %d out of range [1,24]", logSize)
-	}
-	if historyBits < 0 || historyBits > logSize {
-		return nil, fmt.Errorf("branch: gshare historyBits %d out of range for logSize %d", historyBits, logSize)
+	if err := checkGshare(logSize, historyBits); err != nil {
+		return nil, err
 	}
 	g := &Gshare{
 		table:       make([]counter, 1<<logSize),
@@ -192,45 +189,85 @@ func DefaultTAGEConfig() Config {
 // constructed directly; any other kind is resolved through the registry
 // (see Register). All geometry problems surface as errors.
 func (c Config) New() (Predictor, error) {
+	if builtinKinds[c.Kind] {
+		if err := c.Validate(); err != nil {
+			return nil, err
+		}
+	}
+	switch c.Kind {
+	case "gshare":
+		return NewGshare(c.LogSize, c.HistoryBits)
+	case "bimodal":
+		return NewBimodal(c.LogSize)
+	case "tage":
+		return NewTAGE(c.LogSize, c.TageTables, c.TageLogSize, c.TageTagBits, c.TageMinHist, c.TageMaxHist)
+	}
+	f, ok := lookup(c.Kind)
+	if !ok {
+		return nil, fmt.Errorf("branch: unknown predictor kind %q", c.Kind)
+	}
+	p, err := f(c)
+	if err != nil {
+		return nil, fmt.Errorf("branch: registered kind %q: %w", c.Kind, err)
+	}
+	if p == nil {
+		return nil, fmt.Errorf("branch: registered kind %q returned a nil predictor", c.Kind)
+	}
+	return p, nil
+}
+
+// Validate reports the error New would return for the config. For the
+// built-in kinds it runs New's checks without allocating a table, so an
+// admission check on the largest geometry costs nothing; a registered kind
+// can only be checked by its factory, so Validate builds it.
+func (c Config) Validate() error {
 	switch c.Kind {
 	case "gshare":
 		if c.hasTageGeometry() {
-			return nil, fmt.Errorf("branch: gshare config with TAGE geometry %+v", c)
+			return fmt.Errorf("branch: gshare config with TAGE geometry %+v", c)
 		}
 		if c.Params != "" {
-			return nil, fmt.Errorf("branch: gshare config with opaque params %q", c.Params)
+			return fmt.Errorf("branch: gshare config with opaque params %q", c.Params)
 		}
-		return NewGshare(c.LogSize, c.HistoryBits)
+		return checkGshare(c.LogSize, c.HistoryBits)
 	case "bimodal":
 		if c.HistoryBits != 0 || c.hasTageGeometry() {
-			return nil, fmt.Errorf("branch: bimodal config with extraneous geometry %+v", c)
+			return fmt.Errorf("branch: bimodal config with extraneous geometry %+v", c)
 		}
 		if c.Params != "" {
-			return nil, fmt.Errorf("branch: bimodal config with opaque params %q", c.Params)
+			return fmt.Errorf("branch: bimodal config with opaque params %q", c.Params)
 		}
-		return NewBimodal(c.LogSize)
+		return checkBimodal(c.LogSize)
 	case "tage":
 		if c.HistoryBits != 0 {
-			return nil, fmt.Errorf("branch: tage config sets gshare HistoryBits %d", c.HistoryBits)
+			return fmt.Errorf("branch: tage config sets gshare HistoryBits %d", c.HistoryBits)
 		}
 		if c.Params != "" {
-			return nil, fmt.Errorf("branch: tage config with opaque params %q", c.Params)
+			return fmt.Errorf("branch: tage config with opaque params %q", c.Params)
 		}
-		return NewTAGE(c.LogSize, c.TageTables, c.TageLogSize, c.TageTagBits, c.TageMinHist, c.TageMaxHist)
-	default:
-		f, ok := lookup(c.Kind)
-		if !ok {
-			return nil, fmt.Errorf("branch: unknown predictor kind %q", c.Kind)
-		}
-		p, err := f(c)
-		if err != nil {
-			return nil, fmt.Errorf("branch: registered kind %q: %w", c.Kind, err)
-		}
-		if p == nil {
-			return nil, fmt.Errorf("branch: registered kind %q returned a nil predictor", c.Kind)
-		}
-		return p, nil
+		return checkTAGE(c.LogSize, c.TageTables, c.TageLogSize, c.TageTagBits, c.TageMinHist, c.TageMaxHist)
 	}
+	_, err := c.New()
+	return err
+}
+
+// checkBimodal and checkGshare are NewBimodal's and NewGshare's geometry
+// checks, shared with Config.Validate.
+func checkBimodal(logSize int) error {
+	if logSize < 1 || logSize > 24 {
+		return fmt.Errorf("branch: bimodal logSize %d out of range [1,24]", logSize)
+	}
+	return nil
+}
+
+func checkGshare(logSize, historyBits int) error {
+	if logSize < 1 || logSize > 24 {
+		return fmt.Errorf("branch: gshare logSize %d out of range [1,24]", logSize)
+	}
+	if historyBits < 0 || historyBits > logSize {
+		return fmt.Errorf("branch: gshare historyBits %d out of range for logSize %d", historyBits, logSize)
+	}
+	return nil
 }
 
 func (c Config) hasTageGeometry() bool {

@@ -159,6 +159,9 @@ func TestConfigNew(t *testing.T) {
 		{Kind: "tage", LogSize: 10, TageTables: 4, TageLogSize: 8, TageTagBits: 8, TageMinHist: 2, TageMaxHist: 32},
 		{Kind: "tage", LogSize: 8, TageTables: 1, TageLogSize: 6, TageTagBits: 6, TageMinHist: 5, TageMaxHist: 5},
 	} {
+		if err := c.Validate(); err != nil {
+			t.Errorf("config %+v: Validate: %v", c, err)
+		}
 		p, err := c.New()
 		if err != nil {
 			t.Errorf("config %+v: %v", c, err)
@@ -182,9 +185,26 @@ func TestConfigNewRejectsInvalid(t *testing.T) {
 		{Kind: "tage", LogSize: 12, TageTables: 6, TageLogSize: 9, TageTagBits: 2, TageMinHist: 4, TageMaxHist: 64},
 		{Kind: "tage", LogSize: 12, TageTables: 6, TageLogSize: 9, TageTagBits: 9, TageMinHist: 60, TageMaxHist: 64},
 		{Kind: "tage", LogSize: 12, TageTables: 6, TageLogSize: 9, TageTagBits: 9, TageMinHist: 4, TageMaxHist: 64, HistoryBits: 10},
+		// TestNewReturnsErrorsOnBadSizes's geometries, through a Config.
+		{Kind: "bimodal", LogSize: 0},
+		{Kind: "bimodal", LogSize: 25},
+		{Kind: "gshare", LogSize: 10, HistoryBits: 11},
+		{Kind: "gshare", LogSize: 25, HistoryBits: 10},
+		{Kind: "tage", LogSize: 12, TageTables: 16, TageLogSize: 9, TageTagBits: 9, TageMinHist: 4, TageMaxHist: 64},
+		{Kind: "tage", LogSize: 12, TageTables: 6, TageLogSize: 9, TageTagBits: 9, TageMinHist: 4, TageMaxHist: 65},
+		{Kind: "tage", LogSize: 25, TageTables: 6, TageLogSize: 9, TageTagBits: 9, TageMinHist: 4, TageMaxHist: 64},
+		{Kind: "tage", LogSize: 12, TageTables: 6, TageLogSize: 21, TageTagBits: 9, TageMinHist: 4, TageMaxHist: 64},
+		{Kind: "gshare", LogSize: 12, HistoryBits: 10, Params: "x"},
+		{Kind: "bimodal", LogSize: 12, Params: "x"},
+		{Kind: "tage", LogSize: 12, TageTables: 6, TageLogSize: 9, TageTagBits: 9, TageMinHist: 4, TageMaxHist: 64, Params: "x"},
 	} {
-		if _, err := c.New(); err == nil {
+		_, err := c.New()
+		if err == nil {
 			t.Errorf("config %+v accepted", c)
+			continue
+		}
+		if verr := c.Validate(); verr == nil || verr.Error() != err.Error() {
+			t.Errorf("config %+v: Validate = %v, want New's error %v", c, verr, err)
 		}
 	}
 }

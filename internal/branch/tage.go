@@ -76,23 +76,8 @@ const agePeriod = 1 << 18
 // (maxHist <= 64, so the global history fits one word). It returns an error
 // on invalid geometry.
 func NewTAGE(logBase, tables, logSize, tagBits, minHist, maxHist int) (*TAGE, error) {
-	if logBase < 1 || logBase > 24 {
-		return nil, fmt.Errorf("branch: tage base logSize %d out of range [1,24]", logBase)
-	}
-	if tables < 1 || tables > 15 {
-		return nil, fmt.Errorf("branch: tage table count %d out of range [1,15]", tables)
-	}
-	if logSize < 1 || logSize > 20 {
-		return nil, fmt.Errorf("branch: tage tagged logSize %d out of range [1,20]", logSize)
-	}
-	if tagBits < 4 || tagBits > 16 {
-		return nil, fmt.Errorf("branch: tage tagBits %d out of range [4,16]", tagBits)
-	}
-	if minHist < 1 || maxHist > 64 || minHist > maxHist {
-		return nil, fmt.Errorf("branch: tage history range [%d,%d] invalid (need 1 <= min <= max <= 64)", minHist, maxHist)
-	}
-	if maxHist-minHist+1 < tables {
-		return nil, fmt.Errorf("branch: tage history range [%d,%d] too narrow for %d strictly increasing lengths", minHist, maxHist, tables)
+	if err := checkTAGE(logBase, tables, logSize, tagBits, minHist, maxHist); err != nil {
+		return nil, err
 	}
 	t := &TAGE{
 		base:    make([]counter, 1<<logBase),
@@ -121,6 +106,29 @@ func NewTAGE(logBase, tables, logSize, tagBits, minHist, maxHist int) (*TAGE, er
 	}
 	t.Reset()
 	return t, nil
+}
+
+// checkTAGE is NewTAGE's geometry check, shared with Config.Validate.
+func checkTAGE(logBase, tables, logSize, tagBits, minHist, maxHist int) error {
+	if logBase < 1 || logBase > 24 {
+		return fmt.Errorf("branch: tage base logSize %d out of range [1,24]", logBase)
+	}
+	if tables < 1 || tables > 15 {
+		return fmt.Errorf("branch: tage table count %d out of range [1,15]", tables)
+	}
+	if logSize < 1 || logSize > 20 {
+		return fmt.Errorf("branch: tage tagged logSize %d out of range [1,20]", logSize)
+	}
+	if tagBits < 4 || tagBits > 16 {
+		return fmt.Errorf("branch: tage tagBits %d out of range [4,16]", tagBits)
+	}
+	if minHist < 1 || maxHist > 64 || minHist > maxHist {
+		return fmt.Errorf("branch: tage history range [%d,%d] invalid (need 1 <= min <= max <= 64)", minHist, maxHist)
+	}
+	if maxHist-minHist+1 < tables {
+		return fmt.Errorf("branch: tage history range [%d,%d] too narrow for %d strictly increasing lengths", minHist, maxHist, tables)
+	}
+	return nil
 }
 
 // geometricHistories returns n strictly increasing history lengths within

@@ -472,3 +472,26 @@ func TestFacadePlacementDeadline(t *testing.T) {
 		t.Errorf("sheds %d, want 1 for the stalled node (stats %+v)", st.Sheds, st)
 	}
 }
+
+// TestCoordJobTerminalUpdate: a terminal node snapshot finalizes the
+// facade's record under the lock that stores it, so no reader sees a done
+// job without its result. Finalizing in a second step let a poll between
+// the two read "done" with no result.
+func TestCoordJobTerminalUpdate(t *testing.T) {
+	j := &coordJob{id: "cj-0001", done: make(chan struct{})}
+	if j.update(map[string]any{"state": "running"}) {
+		t.Fatal("a running snapshot finalized the job")
+	}
+	if !j.update(map[string]any{"state": "done", "result": map[string]any{"kind": "run"}}) {
+		t.Fatal("a done snapshot did not finalize the job")
+	}
+	v, _, terminal := j.view(true)
+	if !terminal || v["state"] != "done" || v["result"] == nil {
+		t.Errorf("after the done snapshot: terminal %v, view %v", terminal, v)
+	}
+	select {
+	case <-j.done:
+	default:
+		t.Error("done channel still open")
+	}
+}

@@ -245,12 +245,20 @@ type coordJob struct {
 
 // update ingests a node-side snapshot line and wakes facade watchers.
 // The node's seq restarts after a reroute, so the facade maintains its own
-// monotonic sequence.
-func (j *coordJob) update(line map[string]any) {
+// monotonic sequence. A terminal line finalizes the record under the same
+// lock, so no reader sees a terminal state without its result. It reports
+// whether the line was terminal.
+func (j *coordJob) update(line map[string]any) bool {
 	j.mu.Lock()
+	defer j.mu.Unlock()
 	j.lastView = line
+	switch state, _ := line["state"].(string); state {
+	case "done", "failed", "cancelled":
+		j.markTerminalLocked("")
+		return true
+	}
 	j.bumpLocked()
-	j.mu.Unlock()
+	return false
 }
 
 func (j *coordJob) bumpLocked() {
@@ -269,6 +277,10 @@ func (j *coordJob) bumpLocked() {
 func (j *coordJob) markTerminal(failErr string) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	j.markTerminalLocked(failErr)
+}
+
+func (j *coordJob) markTerminalLocked(failErr string) {
 	if j.terminal {
 		return
 	}
@@ -477,9 +489,7 @@ func (c *Coordinator) watchOnce(j *coordJob) bool {
 		if json.Unmarshal(sc.Bytes(), &line) != nil {
 			return false
 		}
-		j.update(line)
-		if state, _ := line["state"].(string); state == "done" || state == "failed" || state == "cancelled" {
-			j.markTerminal("")
+		if j.update(line) {
 			return true
 		}
 	}
@@ -514,8 +524,5 @@ func (c *Coordinator) remoteAlive(j *coordJob) bool {
 		return false
 	}
 	j.update(line)
-	if state, _ := line["state"].(string); state == "done" || state == "failed" || state == "cancelled" {
-		j.markTerminal("")
-	}
 	return true
 }

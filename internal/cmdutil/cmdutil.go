@@ -1,7 +1,7 @@
-// Package cmdutil holds the flag conventions shared by every cmd/ driver,
-// so `-cache.dir`/`-cache.off` and the observability flags
-// `-timeline`/`-metrics`/`-pprof` behave identically across figures,
-// matrix, explore, contest, and bench.
+// Package cmdutil holds the flag conventions shared by the commands under
+// cmd/, so the `-cache.*` flags and the observability flags
+// `-timeline`/`-metrics`/`-pprof` behave identically across figures, spec
+// and serve (which takes only `-pprof`).
 package cmdutil
 
 import (
@@ -109,8 +109,8 @@ func CacheFlags(fs *flag.FlagSet) func() *resultcache.Cache {
 	}
 }
 
-// PrintCacheStats reports a cache's traffic on stderr (no-op for nil).
-func PrintCacheStats(c *resultcache.Cache) {
+// PrintCacheStats reports a cache's traffic on w (no-op for nil).
+func PrintCacheStats(w io.Writer, c *resultcache.Cache) {
 	if c == nil {
 		return
 	}
@@ -118,16 +118,16 @@ func PrintCacheStats(c *resultcache.Cache) {
 	if st.Hits+st.Misses == 0 {
 		return
 	}
-	fmt.Fprintf(os.Stderr, "result cache %s: %d hits (%d mem), %d misses, %d stored, %d corrupt\n",
+	fmt.Fprintf(w, "result cache %s: %d hits (%d mem), %d misses, %d stored, %d corrupt\n",
 		c.Dir(), st.Hits, st.MemHits, st.Misses, st.Stores, st.Corrupt)
 }
 
 // ObsSet holds the observability flag values shared by every driver.
 type ObsSet struct {
-	// Timeline is the -timeline path: a Chrome trace_event JSON of the run
-	// (cmd/contest) or of the campaign's artifact schedule
-	// (cmd/figures, cmd/matrix, cmd/explore), loadable in chrome://tracing
-	// and Perfetto.
+	// Timeline is the -timeline path: a Chrome trace_event JSON of a
+	// recorded run or contest (cmd/spec) or of the campaign's artifact
+	// schedule (cmd/figures, cmd/spec), loadable in chrome://tracing and
+	// Perfetto.
 	Timeline string
 	// Metrics is the -metrics path: the run's aggregated observability
 	// metrics, or the campaign's self-observability counters, as JSON.

@@ -4,6 +4,7 @@ import (
 	"flag"
 	"io"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -40,8 +41,12 @@ func TestCacheFlagsOpener(t *testing.T) {
 	if c.Dir() != dir {
 		t.Errorf("cache dir %q, want %q", c.Dir(), dir)
 	}
-	PrintCacheStats(c) // zero traffic: must not print or panic
-	PrintCacheStats(nil)
+	var stats strings.Builder
+	PrintCacheStats(&stats, c) // zero traffic: must not print or panic
+	PrintCacheStats(&stats, nil)
+	if stats.Len() != 0 {
+		t.Errorf("cache stats printed for no traffic: %q", stats.String())
+	}
 
 	fs = flag.NewFlagSet("driver", flag.ContinueOnError)
 	open = CacheFlags(fs)

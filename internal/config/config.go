@@ -93,7 +93,7 @@ func (c CoreConfig) Validate() error {
 	if err := c.L2D.Validate(); err != nil {
 		return fmt.Errorf("config %s: L2D: %w", c.Name, err)
 	}
-	if _, err := c.Predictor.New(); err != nil {
+	if err := c.Predictor.Validate(); err != nil {
 		return fmt.Errorf("config %s: %w", c.Name, err)
 	}
 	if err := c.Prefetch.Validate(); err != nil {

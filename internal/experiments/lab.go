@@ -361,7 +361,8 @@ func (l *Lab) countLookup(hit bool) {
 
 // Runs returns (computing and caching) the benchmark's single-core runs on
 // every palette core, region-logged, in palette order. Single-core runs use
-// the write-back policy (stand-alone, non-contesting mode).
+// the write-through policy, like the contests they are compared with
+// (DESIGN §3).
 func (l *Lab) Runs(ctx context.Context, bench string) ([]sim.Result, error) {
 	v, err := l.flight.do(ctx, "runs/"+bench, func() (any, error) {
 		return gather(ctx, l, len(l.cores), func(i int) (sim.Result, error) {

@@ -95,10 +95,9 @@ type StoreSink interface {
 
 // Options configures the optional behaviour of a core.
 type Options struct {
-	// WritePolicy selects the private-cache store policy. Contesting
-	// requires write-through (the default used by the contest package);
-	// stand-alone runs default to write-back, as the paper permits in
-	// non-contesting modes.
+	// WritePolicy selects the private-cache store policy. The zero value
+	// is write-through, which contesting requires and stand-alone runs
+	// use as well unless they ask for write-back (DESIGN §3).
 	WritePolicy cache.WritePolicy
 	// RegionSize, if non-zero, records the absolute time of every
 	// RegionSize-th retirement (the paper logs every 20 instructions).

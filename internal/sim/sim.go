@@ -57,8 +57,9 @@ func (r Result) IPT() float64 {
 type RunOptions struct {
 	// LogRegions enables 20-instruction region time logging.
 	LogRegions bool
-	// WritePolicy overrides the private-cache store policy (default
-	// write-back for stand-alone runs).
+	// WritePolicy selects the private-cache store policy. The zero value
+	// is write-through, the policy contesting forces, so a stand-alone run
+	// models the same caches as a contestant (DESIGN §3).
 	WritePolicy cache.WritePolicy
 	// MaxCycles aborts runs that exceed the bound (0 = no bound); a
 	// defensive limit for exploration over arbitrary configurations.

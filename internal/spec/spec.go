@@ -216,8 +216,9 @@ func (sp *Spec) Validate() error {
 		}
 	}
 
-	// Count the cores before resolving them: validating a custom core
-	// builds its branch predictor.
+	// Count the cores before resolving them, so an oversized list is turned
+	// away before any core is checked (a registered predictor kind is
+	// checked by building it).
 	switch cores := len(sp.Cores) + len(sp.Custom); sp.Kind {
 	case KindRun:
 		if cores != 1 {
@@ -240,24 +241,27 @@ func (sp *Spec) Validate() error {
 		if sp.Kind != KindContest {
 			return fmt.Errorf("spec: contest options on kind %q", sp.Kind)
 		}
+		// contest.Options carries no JSON tags (its encoding is part of
+		// every contest's cache key), so these messages name its Go field
+		// names, the keys the wire accepts.
 		if sp.Contest.MaxLag < 0 {
-			return fmt.Errorf("spec: contest max_lag %d must be >= 1 (0 selects the default)", sp.Contest.MaxLag)
+			return fmt.Errorf("spec: contest MaxLag %d must be >= 1 (0 selects the default)", sp.Contest.MaxLag)
 		}
 		if sp.Contest.StoreQueueCap < 0 {
-			return fmt.Errorf("spec: contest store_queue_cap %d must be >= 1 (0 selects the default)", sp.Contest.StoreQueueCap)
+			return fmt.Errorf("spec: contest StoreQueueCap %d must be >= 1 (0 selects the default)", sp.Contest.StoreQueueCap)
 		}
 		if sp.Contest.LatencyNs < 0 {
-			return fmt.Errorf("spec: negative contest latency_ns %g", sp.Contest.LatencyNs)
+			return fmt.Errorf("spec: negative contest LatencyNs %g", sp.Contest.LatencyNs)
 		}
 		if sp.Contest.ReforkWarmupNs < 0 {
-			return fmt.Errorf("spec: negative contest refork warm-up %g", sp.Contest.ReforkWarmupNs)
+			return fmt.Errorf("spec: negative contest ReforkWarmupNs %g", sp.Contest.ReforkWarmupNs)
 		}
 		if sp.Contest.LeadChangeWarmupNs < 0 {
-			return fmt.Errorf("spec: negative contest lead-change warm-up %g", sp.Contest.LeadChangeWarmupNs)
+			return fmt.Errorf("spec: negative contest LeadChangeWarmupNs %g", sp.Contest.LeadChangeWarmupNs)
 		}
 		if !sp.Contest.ExceptionKillRefork &&
 			(sp.Contest.ReforkWarmupNs > 0 || sp.Contest.ReforkColdPredictor || sp.Contest.ReforkColdCaches) {
-			return fmt.Errorf("spec: refork warm-up options need exception_kill_refork")
+			return fmt.Errorf("spec: contest ReforkWarmupNs, ReforkColdPredictor and ReforkColdCaches need ExceptionKillRefork")
 		}
 	}
 	if sp.Run != nil && sp.Kind != KindRun {

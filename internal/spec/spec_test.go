@@ -3,10 +3,13 @@ package spec
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
+	"archcontest/internal/branch"
 	"archcontest/internal/config"
 	"archcontest/internal/contest"
 )
@@ -160,8 +163,9 @@ func TestSpecInvalid(t *testing.T) {
 		{"negative n", `{"kind":"run","bench":"gcc","n":-5}`, "negative trace length"},
 		{"oversized n", `{"kind":"run","bench":"gcc","n":10000000000}`, "limit of 100000000"},
 		{"n one past the limit", `{"kind":"contest","bench":"gcc","cores":["gcc","mcf"],"n":100000001}`, "limit of 100000000"},
-		{"negative max_lag", `{"kind":"contest","bench":"gcc","cores":["gcc","mcf"],"contest":{"MaxLag":-1}}`, "max_lag"},
-		{"negative store queue", `{"kind":"contest","bench":"gcc","cores":["gcc","mcf"],"contest":{"StoreQueueCap":-2}}`, "store_queue_cap"},
+		{"negative max_lag", `{"kind":"contest","bench":"gcc","cores":["gcc","mcf"],"contest":{"MaxLag":-1}}`, "MaxLag"},
+		{"negative store queue", `{"kind":"contest","bench":"gcc","cores":["gcc","mcf"],"contest":{"StoreQueueCap":-2}}`, "StoreQueueCap"},
+		{"refork warm-up without kill-refork", `{"kind":"contest","bench":"gcc","cores":["gcc","mcf"],"contest":{"ReforkColdCaches":true}}`, "need ExceptionKillRefork"},
 		{"unknown experiment", `{"kind":"experiment","experiment":"figZZ"}`, "unknown experiment"},
 		{"run options on contest", `{"kind":"contest","bench":"gcc","cores":["gcc","mcf"],"run":{}}`, "run options"},
 		{"record on matrix", `{"kind":"matrix","record":true}`, "record"},
@@ -189,6 +193,32 @@ func TestSpecInvalid(t *testing.T) {
 				t.Errorf("error %q does not mention %q", err, c.wantErr)
 			}
 		})
+	}
+}
+
+// TestSpecValidateBuildsNoPredictor: Validate checks custom predictor
+// geometry without building the tables. A contest of eight custom cores
+// with the largest TAGE it accepts (a 2^24 base and 15 tables of 2^20)
+// allocated over 600 MB per Validate when the check built them.
+func TestSpecValidateBuildsNoPredictor(t *testing.T) {
+	big := config.MustPaletteCore("gcc")
+	big.Predictor = branch.Config{Kind: "tage", LogSize: 24,
+		TageTables: 15, TageLogSize: 20, TageTagBits: 16, TageMinHist: 1, TageMaxHist: 64}
+	sp := Spec{Kind: KindContest, Bench: "gcc"}
+	for i := 0; i < 8; i++ {
+		c := big
+		c.Name = fmt.Sprintf("big%d", i)
+		sp.Custom = append(sp.Custom, c)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := sp.Validate()
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatalf("largest accepted TAGE rejected: %v", err)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+		t.Errorf("Validate allocated %d bytes, want under 1 MB", n)
 	}
 }
 
