@@ -1,8 +1,10 @@
 // Engine micro-benchmarks: the event-driven fast-forward path against the
 // reference single-cycle/single-step path, on the scenarios where dead
 // cycles dominate (memory-bound workloads on deep-window cores) and where
-// they don't, plus the recorder-attached contest and the trace generator.
-// All report simulated (or generated) instructions per wall-second. They
+// they don't, plus the recorder-attached contest, the trace generator and
+// the trace fingerprint.
+// All report simulated (or generated) instructions per wall-second, and the
+// fingerprint its nanoseconds per instruction. They
 // are quick same-binary comparisons (`go test -run '^$' -bench
 // BenchmarkEngine .`); the repository benchmark in benchmark/ is the
 // calibrated, end-to-end perf ledger.
@@ -119,4 +121,18 @@ func BenchmarkTraceGeneration(b *testing.B) {
 	}
 	b.ReportMetric(float64(100_000*b.N)/b.Elapsed().Seconds()/1e6, "Minst/s")
 	b.ReportMetric(float64(tr.Bytes())/float64(tr.Len()), "B/inst")
+}
+
+// BenchmarkTraceFingerprint measures Trace.Fingerprint, the FNV-1a hash
+// every result-cache key starts from. A fingerprint is computed once per
+// trace, so each iteration hashes a fresh prefix of one generated trace,
+// one instruction short of it.
+func BenchmarkTraceFingerprint(b *testing.B) {
+	const n = 100_000
+	tr := MustGenerateTrace("mcf", n+1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tr.Prefix(n).Fingerprint()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(n*b.N), "ns/inst")
 }

@@ -215,6 +215,13 @@ func TestNodeRejectsBadSpecs(t *testing.T) {
 	if code != http.StatusUnprocessableEntity {
 		t.Errorf("unknown bench: status %d, want 422 (%v)", code, v)
 	}
+	// A result log of 2^62 entries per core: the bus builder would never
+	// finish sizing it.
+	code, v = post(t, srv.URL+"/v1/jobs",
+		`{"kind":"contest","bench":"gcc","cores":["gcc","mcf"],"contest":{"MaxLag":4611686018427387905}}`)
+	if code != http.StatusUnprocessableEntity || !strings.Contains(fmt.Sprint(v), "limit of 1048576") {
+		t.Errorf("MaxLag 2^62+1: status %d, want 422 naming the limit (%v)", code, v)
+	}
 	if code, _ := get(t, srv.URL+"/v1/jobs/job-9999"); code != http.StatusNotFound {
 		t.Errorf("unknown job: status %d, want 404", code)
 	}

@@ -21,9 +21,16 @@
 package contest
 
 import (
+	"fmt"
+
 	"archcontest/internal/pipeline"
 	"archcontest/internal/ticks"
 )
+
+// MaxLagLimit is the largest MaxLag a contest accepts: every core keeps a
+// result log of MaxLag rounded up to a power of two, 8 bytes an entry, so
+// this bounds a log at 8 MiB.
+const MaxLagLimit = 1 << 20
 
 // Options configures a contested run.
 type Options struct {
@@ -112,6 +119,38 @@ type Observer interface {
 	// AfterStep runs after every stepped core cycle (fast-forward jumps,
 	// which change no state, are not seen). core is the stepped core.
 	AfterStep(sys *System, core int)
+}
+
+// Validate reports the first option NewSystem cannot run with, naming its
+// field: the key a spec's contest object takes. No duration, MaxLag or
+// StoreQueueCap may be negative (zero selects a default where the field's
+// comment says so), and MaxLag may not exceed MaxLagLimit.
+func (o Options) Validate() error {
+	if o.MaxLag < 0 {
+		return fmt.Errorf("contest: MaxLag %d must be >= 1 (0 selects the default)", o.MaxLag)
+	}
+	if o.MaxLag > MaxLagLimit {
+		return fmt.Errorf("contest: MaxLag %d exceeds the limit of %d", o.MaxLag, MaxLagLimit)
+	}
+	if o.StoreQueueCap < 0 {
+		return fmt.Errorf("contest: StoreQueueCap %d must be >= 1 (0 selects the default)", o.StoreQueueCap)
+	}
+	for _, f := range []struct {
+		key string
+		ns  float64
+	}{
+		{"LatencyNs", o.LatencyNs},
+		{"ExceptionHandlerNs", o.ExceptionHandlerNs},
+		{"ExceptionReforkNs", o.ExceptionReforkNs},
+		{"ReforkWarmupNs", o.ReforkWarmupNs},
+		{"LeadChangeWarmupNs", o.LeadChangeWarmupNs},
+		{"MaxTimeNs", o.MaxTimeNs},
+	} {
+		if f.ns < 0 {
+			return fmt.Errorf("contest: negative %s %g (must be >= 0)", f.key, f.ns)
+		}
+	}
+	return nil
 }
 
 func (o *Options) applyDefaults(n int) {

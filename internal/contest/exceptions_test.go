@@ -1,6 +1,7 @@
 package contest
 
 import (
+	"strings"
 	"testing"
 
 	"archcontest/internal/config"
@@ -161,14 +162,39 @@ func TestLeadChangeWarmupIsPostHocAccounting(t *testing.T) {
 	}
 }
 
-func TestNegativeWarmupRejected(t *testing.T) {
+// TestHostileOptionsRejected: negative durations, a negative store queue
+// and a MaxLag above the limit are errors naming the field, from NewSystem
+// and Run alike, and no spec is needed to reach them. Most used to panic
+// in the engine (a negative duration in ticks.FromNanoseconds, a negative
+// store queue in NewStoreQueue), and a MaxLag above 2^62 never finished
+// sizing the result bus.
+func TestHostileOptionsRejected(t *testing.T) {
 	tr := workload.MustGenerate("gcc", 1000)
 	cfgs := []config.CoreConfig{fastCore("a"), slowBigCore("b")}
-	if _, err := NewSystem(cfgs, tr, Options{ReforkWarmupNs: -1}); err == nil {
-		t.Error("negative refork warm-up accepted")
+	for _, c := range []struct {
+		opts Options
+		want string
+	}{
+		{Options{ExceptionEvery: 100, ExceptionHandlerNs: -1}, "ExceptionHandlerNs"},
+		{Options{ExceptionEvery: 100, ExceptionKillRefork: true, ExceptionReforkNs: -1}, "ExceptionReforkNs"},
+		{Options{ReforkWarmupNs: -1}, "ReforkWarmupNs"},
+		{Options{LeadChangeWarmupNs: -1}, "LeadChangeWarmupNs"},
+		{Options{MaxTimeNs: -1}, "MaxTimeNs"},
+		{Options{LatencyNs: -1}, "LatencyNs"},
+		{Options{StoreQueueCap: -1}, "StoreQueueCap"},
+		{Options{MaxLag: MaxLagLimit + 1}, "limit of 1048576"},
+		{Options{MaxLag: 1 << 40}, "limit of 1048576"},
+		{Options{MaxLag: 1<<62 + 1}, "limit of 1048576"},
+	} {
+		if _, err := NewSystem(cfgs, tr, c.opts); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("NewSystem(%+v): error %v, want one naming %q", c.opts, err, c.want)
+		}
+		if _, err := Run(cfgs, tr, c.opts); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("Run(%+v): error %v, want one naming %q", c.opts, err, c.want)
+		}
 	}
-	if _, err := NewSystem(cfgs, tr, Options{LeadChangeWarmupNs: -1}); err == nil {
-		t.Error("negative lead-change warm-up accepted")
+	if _, err := NewSystem(cfgs, tr, Options{MaxLag: MaxLagLimit}); err != nil {
+		t.Errorf("MaxLag at the limit rejected: %v", err)
 	}
 }
 

@@ -47,19 +47,13 @@ func NewSystem(cfgs []config.CoreConfig, tr *trace.Trace, opts Options) (*System
 	if tr == nil || tr.Len() == 0 {
 		return nil, fmt.Errorf("contest: empty trace")
 	}
+	if err := opts.Validate(); err != nil {
+		return nil, err
+	}
 	opts.applyDefaults(tr.Len())
 	lat := ticks.FromNanoseconds(opts.LatencyNs)
 	if lat < 1 {
 		return nil, fmt.Errorf("contest: core-to-core latency %gns below one time-unit", opts.LatencyNs)
-	}
-	if opts.ReforkWarmupNs < 0 {
-		return nil, fmt.Errorf("contest: negative refork warm-up %gns", opts.ReforkWarmupNs)
-	}
-	if opts.LeadChangeWarmupNs < 0 {
-		return nil, fmt.Errorf("contest: negative lead-change warm-up %gns", opts.LeadChangeWarmupNs)
-	}
-	if opts.MaxLag < 1 {
-		return nil, fmt.Errorf("contest: MaxLag %d below one result", opts.MaxLag)
 	}
 
 	n := len(cfgs)

@@ -62,6 +62,11 @@ func (i Inspector) LSQCount() int { return i.c.lsq }
 // PendingBranch is the mispredicted branch gating fetch, NoSeq if none.
 func (i Inspector) PendingBranch() int64 { return i.c.pendingBranch }
 
+// ExtStalled reports whether the last Step's retirement was refused from
+// outside the core: by the retire gate (a contest's exception rendezvous)
+// or by a store sink with no room (a contest's full store queue).
+func (i Inspector) ExtStalled() bool { return i.c.extStalled }
+
 // Entry returns the window entry for seq. ok is false when the ring slot
 // no longer holds that sequence (the slot was reused by a younger fetch,
 // which for an in-window seq is an aliasing bug the checker reports).

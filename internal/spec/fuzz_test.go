@@ -4,13 +4,16 @@ import (
 	"testing"
 
 	"archcontest/internal/cache"
+	"archcontest/internal/contest"
 )
 
 // FuzzSpec: Parse then Validate never panics, whatever the bytes, and every
 // spec Validate accepts stays inside the admission bounds: a trace of at
 // most maxN instructions, cache levels of at most cache.MaxLines lines, an
-// explore window and step count within their limits, and the core count
-// its kind allows (2..8 for a contest). The target never executes a spec.
+// explore window and step count within their limits, the core count its
+// kind allows (2..8 for a contest), and contest options with no negative
+// duration and a MaxLag of at most contest.MaxLagLimit. The target never
+// executes a spec.
 //
 //	go test -fuzz=FuzzSpec -fuzztime=30s -run '^$' ./internal/spec/
 func FuzzSpec(f *testing.F) {
@@ -48,6 +51,17 @@ func FuzzSpec(f *testing.F) {
 			}
 			if e.Steps < 0 || e.Steps > maxExploreSteps || e.Lookahead < 0 || e.Lookahead > maxLookahead {
 				t.Errorf("accepted explore steps %d, lookahead %d", e.Steps, e.Lookahead)
+			}
+		}
+		if o := sp.Contest; o != nil {
+			if o.MaxLag < 0 || o.MaxLag > contest.MaxLagLimit {
+				t.Errorf("accepted contest MaxLag %d", o.MaxLag)
+			}
+			for _, ns := range []float64{o.LatencyNs, o.ExceptionHandlerNs, o.ExceptionReforkNs,
+				o.ReforkWarmupNs, o.LeadChangeWarmupNs, o.MaxTimeNs} {
+				if ns < 0 {
+					t.Errorf("accepted contest options with a negative duration: %+v", *o)
+				}
 			}
 		}
 		cores := len(sp.Cores) + len(sp.Custom)

@@ -242,22 +242,10 @@ func (sp *Spec) Validate() error {
 			return fmt.Errorf("spec: contest options on kind %q", sp.Kind)
 		}
 		// contest.Options carries no JSON tags (its encoding is part of
-		// every contest's cache key), so these messages name its Go field
+		// every contest's cache key), so its errors name its Go field
 		// names, the keys the wire accepts.
-		if sp.Contest.MaxLag < 0 {
-			return fmt.Errorf("spec: contest MaxLag %d must be >= 1 (0 selects the default)", sp.Contest.MaxLag)
-		}
-		if sp.Contest.StoreQueueCap < 0 {
-			return fmt.Errorf("spec: contest StoreQueueCap %d must be >= 1 (0 selects the default)", sp.Contest.StoreQueueCap)
-		}
-		if sp.Contest.LatencyNs < 0 {
-			return fmt.Errorf("spec: negative contest LatencyNs %g", sp.Contest.LatencyNs)
-		}
-		if sp.Contest.ReforkWarmupNs < 0 {
-			return fmt.Errorf("spec: negative contest ReforkWarmupNs %g", sp.Contest.ReforkWarmupNs)
-		}
-		if sp.Contest.LeadChangeWarmupNs < 0 {
-			return fmt.Errorf("spec: negative contest LeadChangeWarmupNs %g", sp.Contest.LeadChangeWarmupNs)
+		if err := sp.Contest.Validate(); err != nil {
+			return fmt.Errorf("spec: %w", err)
 		}
 		if !sp.Contest.ExceptionKillRefork &&
 			(sp.Contest.ReforkWarmupNs > 0 || sp.Contest.ReforkColdPredictor || sp.Contest.ReforkColdCaches) {

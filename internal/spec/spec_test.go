@@ -140,7 +140,18 @@ func hostileSpecs() map[string]string {
 		"explore": `{"kind":"explore","bench":"gcc","n":1000,` +
 			`"explore":{"steps":100000000,"lookahead":100000000}}`,
 		"cores": `{"kind":"contest","bench":"gcc","custom":[` + nine[:len(nine)-1] + `]}`,
+		// Contest options that panicked in the engine (negative durations)
+		// or never finished sizing the result bus (MaxLag above 2^62).
+		"handler": contestSpec(`"ExceptionEvery":100,"ExceptionHandlerNs":-1`),
+		"refork":  contestSpec(`"ExceptionEvery":100,"ExceptionKillRefork":true,"ExceptionReforkNs":-1`),
+		"maxtime": contestSpec(`"MaxTimeNs":-1`),
+		"maxlag":  contestSpec(`"MaxLag":4611686018427387905`),
 	}
+}
+
+// contestSpec returns a gcc/mcf contest spec with the given contest options.
+func contestSpec(opts string) string {
+	return `{"kind":"contest","bench":"gcc","cores":["gcc","mcf"],"contest":{` + opts + `}}`
 }
 
 // TestSpecInvalid: malformed scenarios are descriptive errors, never
@@ -179,6 +190,12 @@ func TestSpecInvalid(t *testing.T) {
 		{"nine custom cores counted before validation", hostile["cores"], "2..8 cores, got 9"},
 		{"two custom cores on run", `{"kind":"run","bench":"gcc","custom":[{"Name":"a"},{"Name":"b"}]}`, "exactly one core, got 2"},
 		{"explore options on run", `{"kind":"run","bench":"gcc","explore":{"steps":5}}`, "explore options"},
+		{"negative exception handler time", hostile["handler"], "negative ExceptionHandlerNs -1"},
+		{"negative refork penalty", hostile["refork"], "negative ExceptionReforkNs -1"},
+		{"negative time bound", hostile["maxtime"], "negative MaxTimeNs -1"},
+		{"MaxLag of 2^62+1", hostile["maxlag"], "MaxLag 4611686018427387905 exceeds the limit of 1048576"},
+		{"MaxLag one past the limit", contestSpec(`"MaxLag":1048577`), "limit of 1048576"},
+		{"negative contest latency", contestSpec(`"LatencyNs":-0.5`), "negative LatencyNs"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"runtime"
 
 	"archcontest/internal/isa"
 	"archcontest/internal/trace"
@@ -64,8 +65,14 @@ type generator struct {
 	rAddr    *xrand.RNG // address jitter
 	rMisc    *xrand.RNG // op mix decisions
 	cat      *xrand.Categorical
-	enc      *trace.Encoder
 	lastArch Archetype
+
+	// batch is the batch being filled; full carries filled batches to the
+	// consumer and free brings them back, and done closes when the consumer
+	// has stopped taking them (see run).
+	batch      []isa.Inst
+	full, free chan []isa.Inst
+	done       chan struct{}
 
 	streamPos  uint64 // load cursor within the stream region
 	storePos   uint64 // trailing store cursor
@@ -151,7 +158,27 @@ func (g *generator) pointerAddr(v uint64) uint64 {
 	return pointerRegion + v%(g.p.Footprint/8)*8
 }
 
-func (g *generator) emit(in isa.Inst) { g.enc.Add(&in) }
+// emit appends one instruction to the batch, first handing the batch on if
+// it is full.
+func (g *generator) emit(in isa.Inst) {
+	if len(g.batch) == cap(g.batch) {
+		g.swap()
+	}
+	g.batch = append(g.batch, in)
+}
+
+// swap hands the filled batch, if any, to the consumer and takes an empty
+// one. When the consumer has stopped, it ends the generating goroutine.
+func (g *generator) swap() {
+	if g.batch != nil {
+		g.full <- g.batch // never blocks: full has room for every buffer
+	}
+	select {
+	case g.batch = <-g.free:
+	case <-g.done:
+		runtime.Goexit()
+	}
+}
 
 // emitBranch emits a branch whose condition reads the most recently
 // produced value. Tying the condition to live data makes branch resolution
@@ -426,9 +453,21 @@ func (g *generator) nextArchetype() Archetype {
 	return a
 }
 
-// Generate synthesizes a trace of n dynamic instructions for the profile,
-// encoding them as they are generated (no phase overshoots its budget, so
-// the trace is exactly n long).
+// batchLen is the most instructions the generator hands the encoder at a
+// time, and batches the number of batch buffers the two share; full and
+// free each hold all of them, so no send blocks. Shorter batches wake the
+// other goroutine too often, and with two buffers whichever stage is
+// momentarily slower stalls the other (DESIGN §12.4 has the sweep).
+const (
+	batchLen = 4096
+	batches  = 4
+)
+
+// Generate synthesizes a trace of n dynamic instructions for the profile
+// (no phase overshoots its budget, so the trace is exactly n long). The
+// generator runs on a goroutine of its own while the calling goroutine
+// encodes its batches in order, so on two cores a trace costs about the
+// generator alone.
 func Generate(p Profile, n int) (*trace.Trace, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -439,11 +478,55 @@ func Generate(p Profile, n int) (*trace.Trace, error) {
 	if p.Chains > maxChains {
 		return nil, fmt.Errorf("workload %s: %d chains exceeds register budget %d", p.Name, p.Chains, maxChains)
 	}
-	g := newGenerator(p)
-	g.enc = trace.NewEncoder(n)
-	for g.enc.Len() < n {
+	enc := trace.NewEncoder(n)
+	newGenerator(p).run(n, func(batch []isa.Inst) {
+		for i := range batch {
+			enc.Add(&batch[i])
+		}
+	})
+	tr := enc.Trace(p.Name)
+	if err := tr.Validate(); err != nil {
+		return nil, fmt.Errorf("workload %s: generated invalid trace: %w", p.Name, err)
+	}
+	return tr, nil
+}
+
+// run generates n instructions on a new goroutine and passes them to
+// consume on the calling goroutine, in order, in batches of at most
+// batchLen; a batch is reused once consume returns. The buffers hold
+// min(n, batchLen) instructions each, so a short trace allocates short
+// ones. run returns after the generating goroutine has ended, also when
+// consume panics.
+func (g *generator) run(n int, consume func([]isa.Inst)) {
+	size := min(n, batchLen)
+	bufs := min(batches, (n+size-1)/size)
+	g.full = make(chan []isa.Inst, bufs)
+	g.free = make(chan []isa.Inst, bufs)
+	g.done = make(chan struct{})
+	for range bufs {
+		g.free <- make([]isa.Inst, 0, size)
+	}
+	defer func() {
+		// Release the generating goroutine if consume panicked, and wait
+		// for it to end.
+		close(g.done)
+		for range g.full {
+		}
+	}()
+	go g.produce(n)
+	for batch := range g.full {
+		consume(batch)
+		g.free <- batch[:0]
+	}
+}
+
+// produce runs the phase loop for n instructions, sends the last batch and
+// closes full.
+func (g *generator) produce(n int) {
+	defer close(g.full)
+	for made := 0; made < n; {
 		a := g.nextArchetype()
-		mean := p.MeanPhaseLen[a]
+		mean := g.p.MeanPhaseLen[a]
 		if mean < 8 {
 			mean = 8
 		}
@@ -451,16 +534,11 @@ func Generate(p Profile, n int) (*trace.Trace, error) {
 		if budget < 8 {
 			budget = 8
 		}
-		if rem := n - g.enc.Len(); budget > rem {
-			budget = rem
-		}
-		g.runPhase(a, budget)
+		made += g.runPhase(a, min(budget, n-made))
 	}
-	tr := g.enc.Trace(p.Name)
-	if err := tr.Validate(); err != nil {
-		return nil, fmt.Errorf("workload %s: generated invalid trace: %w", p.Name, err)
+	if len(g.batch) > 0 {
+		g.full <- g.batch
 	}
-	return tr, nil
 }
 
 // MustGenerate is Generate for known-good registry profiles; it panics on
