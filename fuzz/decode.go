@@ -12,9 +12,11 @@
 //
 //	go test -fuzz=FuzzContest -fuzztime=30s -run '^$' ./fuzz/
 //
-// The checked-in seed corpus under testdata/fuzz/ is regenerated by
-// `go run ./fuzz/gen` and covers the interesting regimes by construction:
-// exception rendezvous, saturated laggers, and store-queue backpressure.
+// Every target f.Adds the seed corpus (SeedCorpus), which covers the
+// interesting regimes by construction: exception rendezvous, saturated
+// laggers, and store-queue backpressure. FuzzPipeline and FuzzContest also
+// keep a checked-in copy under testdata/fuzz/, regenerated by
+// `go run ./fuzz/gen`.
 package fuzz
 
 import (

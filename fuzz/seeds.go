@@ -6,10 +6,9 @@ package fuzz
 // lagger, store-queue backpressure, a 3-way contest, predictor diversity
 // (TAGE vs bimodal), cold-state kill-refork warm-up, and cache-component
 // diversity (SRRIP/random replacement with both prefetchers). `go run
-// ./fuzz/gen`
-// writes these into testdata/fuzz/<target>/ for the three engine targets;
-// every target also f.Adds them, so `go test` exercises each regime even
-// without -fuzz.
+// ./fuzz/gen` writes these into testdata/fuzz/<target>/ for FuzzPipeline
+// and FuzzContest; every target also f.Adds them, so `go test` exercises
+// each regime even without -fuzz.
 
 func pad(b []byte, n int) []byte {
 	out := make([]byte, n)

@@ -185,70 +185,48 @@ func DefaultTAGEConfig() Config {
 	}
 }
 
-// New builds the predictor described by the config. The built-in kinds are
-// constructed directly; any other kind is resolved through the registry
-// (see Register). All geometry problems surface as errors.
-func (c Config) New() (Predictor, error) {
-	if builtinKinds[c.Kind] {
-		if err := c.Validate(); err != nil {
-			return nil, err
-		}
+// New builds the predictor described by the config, resolving its Kind
+// through the registry (see Register). All geometry problems surface as
+// errors.
+func (c Config) New() (Predictor, error) { return predictors.Build(c.Kind, c) }
+
+// Validate reports the error New would return for the config. A built-in
+// kind is checked without allocating a table, so an admission check on the
+// largest geometry costs nothing; a registered kind can only be checked by
+// its factory, so Validate builds it.
+func (c Config) Validate() error { return predictors.Validate(c.Kind, c) }
+
+// checkGshareConfig, checkBimodalConfig and checkTAGEConfig are the
+// built-in kinds' registry checks: every check their constructors make,
+// on a Config, without allocating a table.
+func checkGshareConfig(c Config) error {
+	if c.hasTageGeometry() {
+		return fmt.Errorf("branch: gshare config with TAGE geometry %+v", c)
 	}
-	switch c.Kind {
-	case "gshare":
-		return NewGshare(c.LogSize, c.HistoryBits)
-	case "bimodal":
-		return NewBimodal(c.LogSize)
-	case "tage":
-		return NewTAGE(c.LogSize, c.TageTables, c.TageLogSize, c.TageTagBits, c.TageMinHist, c.TageMaxHist)
+	if c.Params != "" {
+		return fmt.Errorf("branch: gshare config with opaque params %q", c.Params)
 	}
-	f, ok := lookup(c.Kind)
-	if !ok {
-		return nil, fmt.Errorf("branch: unknown predictor kind %q", c.Kind)
-	}
-	p, err := f(c)
-	if err != nil {
-		return nil, fmt.Errorf("branch: registered kind %q: %w", c.Kind, err)
-	}
-	if p == nil {
-		return nil, fmt.Errorf("branch: registered kind %q returned a nil predictor", c.Kind)
-	}
-	return p, nil
+	return checkGshare(c.LogSize, c.HistoryBits)
 }
 
-// Validate reports the error New would return for the config. For the
-// built-in kinds it runs New's checks without allocating a table, so an
-// admission check on the largest geometry costs nothing; a registered kind
-// can only be checked by its factory, so Validate builds it.
-func (c Config) Validate() error {
-	switch c.Kind {
-	case "gshare":
-		if c.hasTageGeometry() {
-			return fmt.Errorf("branch: gshare config with TAGE geometry %+v", c)
-		}
-		if c.Params != "" {
-			return fmt.Errorf("branch: gshare config with opaque params %q", c.Params)
-		}
-		return checkGshare(c.LogSize, c.HistoryBits)
-	case "bimodal":
-		if c.HistoryBits != 0 || c.hasTageGeometry() {
-			return fmt.Errorf("branch: bimodal config with extraneous geometry %+v", c)
-		}
-		if c.Params != "" {
-			return fmt.Errorf("branch: bimodal config with opaque params %q", c.Params)
-		}
-		return checkBimodal(c.LogSize)
-	case "tage":
-		if c.HistoryBits != 0 {
-			return fmt.Errorf("branch: tage config sets gshare HistoryBits %d", c.HistoryBits)
-		}
-		if c.Params != "" {
-			return fmt.Errorf("branch: tage config with opaque params %q", c.Params)
-		}
-		return checkTAGE(c.LogSize, c.TageTables, c.TageLogSize, c.TageTagBits, c.TageMinHist, c.TageMaxHist)
+func checkBimodalConfig(c Config) error {
+	if c.HistoryBits != 0 || c.hasTageGeometry() {
+		return fmt.Errorf("branch: bimodal config with extraneous geometry %+v", c)
 	}
-	_, err := c.New()
-	return err
+	if c.Params != "" {
+		return fmt.Errorf("branch: bimodal config with opaque params %q", c.Params)
+	}
+	return checkBimodal(c.LogSize)
+}
+
+func checkTAGEConfig(c Config) error {
+	if c.HistoryBits != 0 {
+		return fmt.Errorf("branch: tage config sets gshare HistoryBits %d", c.HistoryBits)
+	}
+	if c.Params != "" {
+		return fmt.Errorf("branch: tage config with opaque params %q", c.Params)
+	}
+	return checkTAGE(c.LogSize, c.TageTables, c.TageLogSize, c.TageTagBits, c.TageMinHist, c.TageMaxHist)
 }
 
 // checkBimodal and checkGshare are NewBimodal's and NewGshare's geometry

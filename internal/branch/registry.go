@@ -3,79 +3,54 @@ package branch
 import (
 	"fmt"
 	"runtime"
-	"sort"
-	"sync"
+
+	"archcontest/internal/registry"
 )
 
 // The predictor registry is the branch half of the component SPI: a
 // predictor family is registered once under a stable name, and from then on
-// a Config selects it by Kind exactly like the built-ins, with the opaque
-// Params string carried through to the factory. The three built-in kinds
-// are pre-registered so Registered() is the complete palette; their
-// construction stays on the explicit switch in Config.New (same validation,
-// same error text), and the registry's factory path is taken only by
-// third-party kinds. The pipeline calls every predictor, built-in or
-// registered, through the Predictor interface.
+// a Config selects it by Kind, with the opaque Params string carried through
+// to the factory. The three built-in kinds register themselves below like
+// any other family, so Registered() is the complete palette and Config.New
+// builds every predictor one way; the pipeline calls each through the
+// Predictor interface.
 
 // Factory builds a predictor from its configuration. The registry passes
 // the full Config through, so a third-party family is free to interpret
 // LogSize/HistoryBits conventionally or encode everything in Params.
 type Factory func(cfg Config) (Predictor, error)
 
-var (
-	regMu     sync.RWMutex
-	factories = map[string]Factory{}
-)
+var predictors = registry.New[Config, Predictor]("branch", "predictor kind")
 
-// builtinKinds are the kinds constructed by Config.New's explicit switch.
-var builtinKinds = map[string]bool{"gshare": true, "bimodal": true, "tage": true}
+// The built-in kinds carry checks, so Config.Validate never allocates
+// their tables.
+func init() {
+	for _, err := range []error{
+		predictors.Register("gshare", func(c Config) (Predictor, error) {
+			return NewGshare(c.LogSize, c.HistoryBits)
+		}, checkGshareConfig),
+		predictors.Register("bimodal", func(c Config) (Predictor, error) {
+			return NewBimodal(c.LogSize)
+		}, checkBimodalConfig),
+		predictors.Register("tage", func(c Config) (Predictor, error) {
+			return NewTAGE(c.LogSize, c.TageTables, c.TageLogSize, c.TageTagBits, c.TageMinHist, c.TageMaxHist)
+		}, checkTAGEConfig),
+	} {
+		if err != nil {
+			panic(err)
+		}
+	}
+}
 
 // Register adds a predictor family under the given kind name. It returns an
-// error for an empty name, a built-in name, a duplicate registration, or a
-// nil factory; components registered from init functions may wrap it in
+// error for an empty name, a taken name (the built-ins included), or a nil
+// factory; components registered from init functions may wrap it in
 // MustRegister semantics by panicking on the error themselves.
-func Register(kind string, f Factory) error {
-	if kind == "" {
-		return fmt.Errorf("branch: register with empty kind name")
-	}
-	if builtinKinds[kind] {
-		return fmt.Errorf("branch: kind %q is built in", kind)
-	}
-	if f == nil {
-		return fmt.Errorf("branch: kind %q registered with nil factory", kind)
-	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := factories[kind]; dup {
-		return fmt.Errorf("branch: kind %q already registered", kind)
-	}
-	factories[kind] = f
-	return nil
-}
+func Register(kind string, f Factory) error { return predictors.Register(kind, f, nil) }
 
 // Registered lists every constructible predictor kind — the built-ins plus
 // all registered families — in sorted order.
-func Registered() []string {
-	regMu.RLock()
-	names := make([]string, 0, len(factories)+len(builtinKinds))
-	for k := range factories {
-		names = append(names, k)
-	}
-	regMu.RUnlock()
-	for k := range builtinKinds {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// lookup resolves a registered (non-builtin) kind.
-func lookup(kind string) (Factory, bool) {
-	regMu.RLock()
-	f, ok := factories[kind]
-	regMu.RUnlock()
-	return f, ok
-}
+func Registered() []string { return predictors.Names() }
 
 // RepresentativeConfig returns a ready-to-run configuration for the named
 // kind: the reference geometry for the built-ins, and a bare Config{Kind:

@@ -1,6 +1,7 @@
 package branch
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -152,5 +153,33 @@ func TestRepresentativeConfigsConstruct(t *testing.T) {
 	}
 	if cfg := RepresentativeConfig("reg-3p"); cfg.Kind != "reg-3p" || cfg.LogSize != 0 {
 		t.Errorf("third-party representative config = %+v", cfg)
+	}
+}
+
+// TestValidateAgreesWithNew: for every kind Registered lists, built-in or
+// registered, with empty and with opaque params, Validate accepts exactly
+// when New succeeds, with the same error.
+func TestValidateAgreesWithNew(t *testing.T) {
+	if err := Register("reg-test-agree", func(cfg Config) (Predictor, error) {
+		if cfg.Params != "" {
+			return nil, fmt.Errorf("takes no params, got %q", cfg.Params)
+		}
+		return newFixed(), nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := Register("reg-test-agree-nil", func(Config) (Predictor, error) { return nil, nil }); err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range Registered() {
+		for _, params := range []string{"", "x"} {
+			cfg := RepresentativeConfig(kind)
+			cfg.Params = params
+			_, err := cfg.New()
+			verr := cfg.Validate()
+			if fmt.Sprint(verr) != fmt.Sprint(err) {
+				t.Errorf("%s, params %q: Validate = %v, New = %v", kind, params, verr, err)
+			}
+		}
 	}
 }

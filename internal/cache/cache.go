@@ -39,30 +39,44 @@ type Config struct {
 // palette 2^15.
 const MaxLines = 1 << 20
 
-// Validate reports whether the configuration is well formed.
+// Validate reports the error New would return for the config. A built-in
+// replacement policy is checked without building its state, so admitting
+// the largest level allocates nothing; a registered policy can only be
+// checked by building it.
 func (c Config) Validate() error {
+	_, err := c.replacer(false)
+	return err
+}
+
+// replacer runs New's checks on the config and, if build is set, builds
+// the level's replacement policy: nil for the fused LRU path.
+func (c Config) replacer(build bool) (Replacer, error) {
 	if c.Sets <= 0 || c.Sets&(c.Sets-1) != 0 {
-		return fmt.Errorf("cache: sets %d not a positive power of two", c.Sets)
+		return nil, fmt.Errorf("cache: sets %d not a positive power of two", c.Sets)
 	}
 	if c.Assoc <= 0 {
-		return fmt.Errorf("cache: associativity %d not positive", c.Assoc)
+		return nil, fmt.Errorf("cache: associativity %d not positive", c.Assoc)
 	}
 	if c.Assoc > MaxLines/c.Sets {
-		return fmt.Errorf("cache: %d sets x %d ways exceeds the limit of %d lines", c.Sets, c.Assoc, MaxLines)
+		return nil, fmt.Errorf("cache: %d sets x %d ways exceeds the limit of %d lines", c.Sets, c.Assoc, MaxLines)
 	}
 	if c.BlockBytes <= 0 || c.BlockBytes&(c.BlockBytes-1) != 0 {
-		return fmt.Errorf("cache: block size %d not a positive power of two", c.BlockBytes)
+		return nil, fmt.Errorf("cache: block size %d not a positive power of two", c.BlockBytes)
 	}
 	if c.LatencyCycles < 1 {
-		return fmt.Errorf("cache: latency %d below one cycle", c.LatencyCycles)
+		return nil, fmt.Errorf("cache: latency %d below one cycle", c.LatencyCycles)
 	}
-	if !validReplacerName(c.Replacement) {
-		return fmt.Errorf("cache: unknown replacement policy %q", c.Replacement)
+	switch {
+	case c.Replacement == "" || c.Replacement == "lru":
+		if c.ReplParams != "" {
+			return nil, fmt.Errorf("cache: built-in LRU takes no params, got %q", c.ReplParams)
+		}
+		return nil, nil
+	case build:
+		return replacers.Build(c.Replacement, c)
+	default:
+		return nil, replacers.Validate(c.Replacement, c)
 	}
-	if c.ReplParams != "" && (c.Replacement == "" || c.Replacement == "lru") {
-		return fmt.Errorf("cache: built-in LRU takes no params, got %q", c.ReplParams)
-	}
-	return nil
 }
 
 // SizeBytes reports the total capacity of the level.
@@ -123,10 +137,7 @@ func (s Stats) MissRate() float64 {
 // constructors, so configurations decoded from untrusted specs are
 // rejected without taking down the process.
 func New(cfg Config) (*Cache, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	repl, err := newReplacer(cfg.Replacement, cfg.Sets, cfg.Assoc, cfg.ReplParams)
+	repl, err := cfg.replacer(true)
 	if err != nil {
 		return nil, err
 	}
@@ -460,14 +471,9 @@ type Hierarchy struct {
 	Prefetches uint64
 }
 
-// NewHierarchy builds the hierarchy. Configurations must be valid.
+// NewHierarchy builds the hierarchy. An invalid level or memory latency is
+// an error, reported as New reports it.
 func NewHierarchy(l1, l2 Config, memLatency int, policy WritePolicy) (*Hierarchy, error) {
-	if err := l1.Validate(); err != nil {
-		return nil, fmt.Errorf("L1: %w", err)
-	}
-	if err := l2.Validate(); err != nil {
-		return nil, fmt.Errorf("L2: %w", err)
-	}
 	if memLatency < 1 {
 		return nil, fmt.Errorf("cache: memory latency %d below one cycle", memLatency)
 	}
@@ -612,7 +618,8 @@ func (h *Hierarchy) Store(addr uint64, now int64) int {
 	l1Lat := h.l1Lat
 	switch h.Policy {
 	case WriteThrough:
-		// No-allocate on L1 store miss keeps write-through simple. The
+		// The store allocates in L1 on a miss (clean: its data is written
+		// below too) and writes L2 on every store, hit or miss. The
 		// write-through traffic drains through a coalescing write buffer in
 		// the background, so it updates L2 state but does not occupy the
 		// L2 port in the load path and costs only the L1 port time.

@@ -2,8 +2,8 @@ package cache
 
 import (
 	"fmt"
-	"sort"
-	"sync"
+
+	"archcontest/internal/registry"
 )
 
 // Prefetcher is the prefetch half of the cache SPI. The hierarchy calls
@@ -34,84 +34,63 @@ type PrefetchConfig struct {
 	Params string `json:",omitempty"`
 }
 
-// Validate reports whether the named prefetcher exists (the zero value is
-// always valid).
+// Validate reports the error NewPrefetcher would return for the config.
+// A built-in prefetcher is checked without building it. A registered one
+// can only be checked by building it, and the config does not carry the
+// L1 block size its factory takes, so it is built for validateBlockBytes.
 func (p PrefetchConfig) Validate() error {
-	if p.Name == "" {
-		if p.Params != "" {
-			return fmt.Errorf("cache: prefetch params %q without a prefetcher name", p.Params)
-		}
-		return nil
-	}
-	prefMu.RLock()
-	_, ok := prefFactories[p.Name]
-	prefMu.RUnlock()
-	if !ok {
-		return fmt.Errorf("cache: unknown prefetcher %q", p.Name)
-	}
-	return nil
+	_, err := p.prefetcher(validateBlockBytes, false)
+	return err
 }
 
-var (
-	prefMu        sync.RWMutex
-	prefFactories = map[string]PrefetcherFactory{}
-)
+// validateBlockBytes is the line size Validate builds a registered
+// prefetcher for.
+const validateBlockBytes = 64
+
+// prefetchArgs is what a prefetcher is built from.
+type prefetchArgs struct {
+	cfg        PrefetchConfig
+	blockBytes int
+}
+
+var prefetchers = registry.New[prefetchArgs, Prefetcher]("cache", "prefetcher")
 
 // RegisterPrefetcher adds a prefetcher under the given name. The empty
 // name denotes "no prefetcher" and cannot be registered.
 func RegisterPrefetcher(name string, f PrefetcherFactory) error {
-	if name == "" {
-		return fmt.Errorf("cache: register prefetcher with empty name")
+	var build func(prefetchArgs) (Prefetcher, error)
+	if f != nil { // a nil factory stays nil, for the table to reject
+		build = func(a prefetchArgs) (Prefetcher, error) { return f(a.blockBytes, a.cfg.Params) }
 	}
-	if f == nil {
-		return fmt.Errorf("cache: prefetcher %q registered with nil factory", name)
-	}
-	prefMu.Lock()
-	defer prefMu.Unlock()
-	if _, dup := prefFactories[name]; dup {
-		return fmt.Errorf("cache: prefetcher %q already registered", name)
-	}
-	prefFactories[name] = f
-	return nil
+	return prefetchers.Register(name, build, nil)
 }
 
 // PrefetcherNames lists every registered prefetcher in sorted order (the
 // no-prefetch default is the empty name and is not listed).
-func PrefetcherNames() []string {
-	prefMu.RLock()
-	names := make([]string, 0, len(prefFactories))
-	for n := range prefFactories {
-		names = append(names, n)
-	}
-	prefMu.RUnlock()
-	sort.Strings(names)
-	return names
-}
+func PrefetcherNames() []string { return prefetchers.Names() }
 
 // NewPrefetcher resolves a PrefetchConfig into a prefetcher instance; the
 // zero value resolves to (nil, nil). Exported for replay harnesses (the
 // fast model mirrors the hierarchy's prefetch fills) and component tests.
 func NewPrefetcher(cfg PrefetchConfig, blockBytes int) (Prefetcher, error) {
-	if cfg.Name == "" {
-		if cfg.Params != "" {
-			return nil, fmt.Errorf("cache: prefetch params %q without a prefetcher name", cfg.Params)
+	return cfg.prefetcher(blockBytes, true)
+}
+
+// prefetcher runs NewPrefetcher's checks on the config and, if build is
+// set, builds the prefetcher: nil for the zero config.
+func (p PrefetchConfig) prefetcher(blockBytes int, build bool) (Prefetcher, error) {
+	args := prefetchArgs{cfg: p, blockBytes: blockBytes}
+	switch {
+	case p.Name == "":
+		if p.Params != "" {
+			return nil, fmt.Errorf("cache: prefetch params %q without a prefetcher name", p.Params)
 		}
 		return nil, nil
+	case build:
+		return prefetchers.Build(p.Name, args)
+	default:
+		return nil, prefetchers.Validate(p.Name, args)
 	}
-	prefMu.RLock()
-	f, ok := prefFactories[cfg.Name]
-	prefMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("cache: unknown prefetcher %q", cfg.Name)
-	}
-	p, err := f(blockBytes, cfg.Params)
-	if err != nil {
-		return nil, fmt.Errorf("cache: prefetcher %q: %w", cfg.Name, err)
-	}
-	if p == nil {
-		return nil, fmt.Errorf("cache: prefetcher %q returned nil", cfg.Name)
-	}
-	return p, nil
 }
 
 // nextLine prefetches the sequentially next block on every demand miss —
@@ -120,11 +99,8 @@ type nextLine struct {
 	block uint64
 }
 
-func newNextLine(blockBytes int, params string) (Prefetcher, error) {
-	if params != "" {
-		return nil, fmt.Errorf("nextline takes no params, got %q", params)
-	}
-	return &nextLine{block: uint64(blockBytes)}, nil
+func newNextLine(a prefetchArgs) (Prefetcher, error) {
+	return &nextLine{block: uint64(a.blockBytes)}, nil
 }
 
 func (n *nextLine) OnAccess(addr uint64, miss bool, buf []uint64) []uint64 {
@@ -147,12 +123,7 @@ type stride struct {
 	primed    bool
 }
 
-func newStride(blockBytes int, params string) (Prefetcher, error) {
-	if params != "" {
-		return nil, fmt.Errorf("stride takes no params, got %q", params)
-	}
-	return &stride{}, nil
-}
+func newStride(prefetchArgs) (Prefetcher, error) { return &stride{}, nil }
 
 func (s *stride) OnAccess(addr uint64, miss bool, buf []uint64) []uint64 {
 	if s.primed {
@@ -170,11 +141,20 @@ func (s *stride) OnAccess(addr uint64, miss bool, buf []uint64) []uint64 {
 
 func (s *stride) Reset() { *s = stride{} }
 
+// The built-in prefetchers take no params, so their check is that alone.
 func init() {
-	if err := RegisterPrefetcher("nextline", newNextLine); err != nil {
-		panic(err)
+	noParams := func(a prefetchArgs) error {
+		if a.cfg.Params != "" {
+			return fmt.Errorf("cache: prefetcher %q takes no params, got %q", a.cfg.Name, a.cfg.Params)
+		}
+		return nil
 	}
-	if err := RegisterPrefetcher("stride", newStride); err != nil {
-		panic(err)
+	for _, err := range []error{
+		prefetchers.Register("nextline", newNextLine, noParams),
+		prefetchers.Register("stride", newStride, noParams),
+	} {
+		if err != nil {
+			panic(err)
+		}
 	}
 }

@@ -2,8 +2,8 @@ package cache
 
 import (
 	"fmt"
-	"sort"
-	"sync"
+
+	"archcontest/internal/registry"
 )
 
 // Replacer is the replacement-policy half of the cache SPI. A cache level
@@ -37,79 +37,24 @@ type Replacer interface {
 // params is the opaque Config.ReplParams string.
 type ReplacerFactory func(sets, assoc int, params string) (Replacer, error)
 
-var (
-	replMu        sync.RWMutex
-	replFactories = map[string]ReplacerFactory{}
-)
+// replacers holds every replacement policy but the true-LRU default,
+// which "" and "lru" select and the cache resolves itself (the fused path).
+var replacers = registry.New[Config, Replacer]("cache", "replacement policy", "lru")
 
 // RegisterReplacer adds a replacement policy under the given name. The
 // names "" and "lru" denote the built-in true-LRU fast path and cannot be
 // registered over.
 func RegisterReplacer(name string, f ReplacerFactory) error {
-	if name == "" || name == "lru" {
-		return fmt.Errorf("cache: replacement policy name %q is reserved", name)
+	var build func(Config) (Replacer, error)
+	if f != nil { // a nil factory stays nil, for the table to reject
+		build = func(c Config) (Replacer, error) { return f(c.Sets, c.Assoc, c.ReplParams) }
 	}
-	if f == nil {
-		return fmt.Errorf("cache: replacement policy %q registered with nil factory", name)
-	}
-	replMu.Lock()
-	defer replMu.Unlock()
-	if _, dup := replFactories[name]; dup {
-		return fmt.Errorf("cache: replacement policy %q already registered", name)
-	}
-	replFactories[name] = f
-	return nil
+	return replacers.Register(name, build, nil)
 }
 
 // ReplacerNames lists every selectable replacement policy, "lru" (the
 // default) included, in sorted order.
-func ReplacerNames() []string {
-	replMu.RLock()
-	names := make([]string, 0, len(replFactories)+1)
-	for n := range replFactories {
-		names = append(names, n)
-	}
-	replMu.RUnlock()
-	names = append(names, "lru")
-	sort.Strings(names)
-	return names
-}
-
-// newReplacer resolves a policy name. The empty name and "lru" resolve to
-// nil — the caller keeps the fused LRU fast path.
-func newReplacer(name string, sets, assoc int, params string) (Replacer, error) {
-	if name == "" || name == "lru" {
-		if params != "" {
-			return nil, fmt.Errorf("cache: built-in LRU takes no params, got %q", params)
-		}
-		return nil, nil
-	}
-	replMu.RLock()
-	f, ok := replFactories[name]
-	replMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("cache: unknown replacement policy %q", name)
-	}
-	r, err := f(sets, assoc, params)
-	if err != nil {
-		return nil, fmt.Errorf("cache: replacement policy %q: %w", name, err)
-	}
-	if r == nil {
-		return nil, fmt.Errorf("cache: replacement policy %q returned nil", name)
-	}
-	return r, nil
-}
-
-// validReplacerName reports whether the name resolves without building.
-func validReplacerName(name string) bool {
-	if name == "" || name == "lru" {
-		return true
-	}
-	replMu.RLock()
-	_, ok := replFactories[name]
-	replMu.RUnlock()
-	return ok
-}
+func ReplacerNames() []string { return replacers.Names() }
 
 // randomReplacer evicts a pseudo-random way. The xorshift stream is seeded
 // from the geometry, so victim sequences are a pure function of the level's
@@ -120,12 +65,9 @@ type randomReplacer struct {
 	x     uint64
 }
 
-func newRandomReplacer(sets, assoc int, params string) (Replacer, error) {
-	if params != "" {
-		return nil, fmt.Errorf("random policy takes no params, got %q", params)
-	}
-	seed := uint64(sets)*0x9e3779b97f4a7c15 + uint64(assoc)*0xbf58476d1ce4e5b9 + 0x94d049bb133111eb
-	return &randomReplacer{assoc: uint64(assoc), seed: seed, x: seed}, nil
+func newRandomReplacer(c Config) (Replacer, error) {
+	seed := uint64(c.Sets)*0x9e3779b97f4a7c15 + uint64(c.Assoc)*0xbf58476d1ce4e5b9 + 0x94d049bb133111eb
+	return &randomReplacer{assoc: uint64(c.Assoc), seed: seed, x: seed}, nil
 }
 
 func (r *randomReplacer) Touch(set, way int)  {}
@@ -149,11 +91,8 @@ type srripReplacer struct {
 
 const srripMax = 3
 
-func newSRRIPReplacer(sets, assoc int, params string) (Replacer, error) {
-	if params != "" {
-		return nil, fmt.Errorf("srrip policy takes no params, got %q", params)
-	}
-	s := &srripReplacer{assoc: assoc, rrpv: make([]uint8, sets*assoc)}
+func newSRRIPReplacer(c Config) (Replacer, error) {
+	s := &srripReplacer{assoc: c.Assoc, rrpv: make([]uint8, c.Sets*c.Assoc)}
 	s.Reset()
 	return s, nil
 }
@@ -179,11 +118,21 @@ func (s *srripReplacer) Reset() {
 	}
 }
 
+// The built-in policies take no params, so their check is that alone and
+// Config.Validate never allocates their state.
 func init() {
-	if err := RegisterReplacer("random", newRandomReplacer); err != nil {
-		panic(err)
+	noParams := func(c Config) error {
+		if c.ReplParams != "" {
+			return fmt.Errorf("cache: replacement policy %q takes no params, got %q", c.Replacement, c.ReplParams)
+		}
+		return nil
 	}
-	if err := RegisterReplacer("srrip", newSRRIPReplacer); err != nil {
-		panic(err)
+	for _, err := range []error{
+		replacers.Register("random", newRandomReplacer, noParams),
+		replacers.Register("srrip", newSRRIPReplacer, noParams),
+	} {
+		if err != nil {
+			panic(err)
+		}
 	}
 }

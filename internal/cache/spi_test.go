@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -295,5 +296,55 @@ func TestNilPrefetcherIsIdentical(t *testing.T) {
 	}
 	if attached.Prefetches != 0 {
 		t.Fatal("nil prefetcher issued prefetches")
+	}
+}
+
+// TestValidateAgreesWithConstructor: for every replacement policy and
+// prefetcher the registries list, built-in or registered, with empty and
+// with bad params, Config.Validate accepts exactly when New succeeds and
+// PrefetchConfig.Validate exactly when NewPrefetcher does, with the same
+// error.
+func TestValidateAgreesWithConstructor(t *testing.T) {
+	noParams := func(params string) error {
+		if params != "" {
+			return fmt.Errorf("takes no params, got %q", params)
+		}
+		return nil
+	}
+	for _, err := range []error{
+		RegisterReplacer("agree-test", func(sets, assoc int, params string) (Replacer, error) {
+			if err := noParams(params); err != nil {
+				return nil, err
+			}
+			return newRandomReplacer(Config{Sets: sets, Assoc: assoc})
+		}),
+		RegisterReplacer("agree-test-nil", func(int, int, string) (Replacer, error) { return nil, nil }),
+		RegisterPrefetcher("agree-test", func(blockBytes int, params string) (Prefetcher, error) {
+			if err := noParams(params); err != nil {
+				return nil, err
+			}
+			return &nextLine{block: uint64(blockBytes)}, nil
+		}),
+		RegisterPrefetcher("agree-test-nil", func(int, string) (Prefetcher, error) { return nil, nil }),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, params := range []string{"", "x"} {
+		for _, name := range append([]string{""}, ReplacerNames()...) {
+			c := Config{Sets: 16, Assoc: 2, BlockBytes: 64, LatencyCycles: 1, Replacement: name, ReplParams: params}
+			_, err := New(c)
+			if verr := c.Validate(); fmt.Sprint(verr) != fmt.Sprint(err) {
+				t.Errorf("replacement %q, params %q: Validate = %v, New = %v", name, params, verr, err)
+			}
+		}
+		for _, name := range append([]string{""}, PrefetcherNames()...) {
+			p := PrefetchConfig{Name: name, Params: params}
+			_, err := NewPrefetcher(p, validateBlockBytes)
+			if verr := p.Validate(); fmt.Sprint(verr) != fmt.Sprint(err) {
+				t.Errorf("prefetcher %q, params %q: Validate = %v, NewPrefetcher = %v", name, params, verr, err)
+			}
+		}
 	}
 }

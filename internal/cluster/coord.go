@@ -11,6 +11,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"archcontest/internal/jobs"
 )
 
 // CoordOptions configures a Coordinator. Placement always ranks the
@@ -238,9 +240,8 @@ type coordJob struct {
 	terminal  bool
 	failErr   string // coordinator-declared failure (node loss)
 
-	done    chan struct{}
-	subs    map[int]chan struct{}
-	nextSub int
+	done  chan struct{}
+	watch jobs.Notifier
 }
 
 // update ingests a node-side snapshot line and wakes facade watchers.
@@ -263,12 +264,7 @@ func (j *coordJob) update(line map[string]any) bool {
 
 func (j *coordJob) bumpLocked() {
 	j.seq++
-	for _, ch := range j.subs {
-		select {
-		case ch <- struct{}{}:
-		default:
-		}
-	}
+	j.watch.Notify()
 }
 
 // markTerminal finalizes the record exactly once. A non-empty failErr
@@ -294,23 +290,6 @@ func (j *coordJob) isTerminal() bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.terminal
-}
-
-func (j *coordJob) subscribe() (<-chan struct{}, func()) {
-	ch := make(chan struct{}, 1)
-	j.mu.Lock()
-	if j.subs == nil {
-		j.subs = make(map[int]chan struct{})
-	}
-	id := j.nextSub
-	j.nextSub++
-	j.subs[id] = ch
-	j.mu.Unlock()
-	return ch, func() {
-		j.mu.Lock()
-		delete(j.subs, id)
-		j.mu.Unlock()
-	}
 }
 
 // view renders the facade's client-facing snapshot: the node's latest

@@ -164,7 +164,7 @@ func (c *Coordinator) get(w http.ResponseWriter, r *http.Request) {
 	// so it carries a reroute across a node death and always ends with a
 	// terminal line (done, failed, including failed by node loss, or
 	// cancelled).
-	notify, release := j.subscribe()
+	notify, release := j.watch.Subscribe()
 	defer release()
 	watchStream(w, r, notify, j.done, func() (any, int64, bool) { return j.view(true) })
 }

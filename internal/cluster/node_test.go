@@ -12,6 +12,8 @@ import (
 	"testing"
 	"time"
 
+	"archcontest/internal/cache"
+	"archcontest/internal/config"
 	"archcontest/internal/jobs"
 	"archcontest/internal/obs"
 	"archcontest/internal/spec"
@@ -227,6 +229,36 @@ func TestNodeRejectsBadSpecs(t *testing.T) {
 	}
 }
 
+// TestNodeRejectsComponentParamsAndRegionSize: a custom core naming a
+// built-in cache component with params, and a contest region log below
+// the paper's 20-instruction region, are 422s naming the key and the
+// limit, not jobs that are accepted and then fail.
+func TestNodeRejectsComponentParamsAndRegionSize(t *testing.T) {
+	srv, _ := newTestNode(t, 1, NodeOptions{})
+	custom := func(mut func(*config.CoreConfig)) string {
+		c := config.MustPaletteCore("gcc")
+		mut(&c)
+		b, err := json.Marshal(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return `{"kind":"run","bench":"gcc","custom":[` + string(b) + `]}`
+	}
+	for _, c := range []struct{ spec, want string }{
+		{custom(func(c *config.CoreConfig) { c.L1D.Replacement, c.L1D.ReplParams = "srrip", "x" }),
+			`replacement policy "srrip" takes no params`},
+		{custom(func(c *config.CoreConfig) { c.Prefetch = cache.PrefetchConfig{Name: "stride", Params: "x"} }),
+			`prefetcher "stride" takes no params`},
+		{`{"kind":"contest","bench":"gcc","cores":["gcc","mcf"],"contest":{"RegionSize":1}}`, "RegionSize 1 must be 0 (no region log) or at least 20"},
+		{`{"kind":"contest","bench":"gcc","cores":["gcc","mcf"],"contest":{"RegionSize":-1}}`, "RegionSize -1 must be 0 (no region log) or at least 20"},
+	} {
+		code, v := post(t, srv.URL+"/v1/jobs", c.spec)
+		if code != http.StatusUnprocessableEntity || !strings.Contains(fmt.Sprint(v), c.want) {
+			t.Errorf("%s: status %d, want 422 naming %q (%v)", c.spec, code, c.want, v)
+		}
+	}
+}
+
 // TestNodeResultConflict: asking for a result before the job is terminal is
 // a 409, not a hang or a partial payload.
 func TestNodeResultConflict(t *testing.T) {
@@ -368,7 +400,7 @@ func TestNodeWatchDisconnectReleases(t *testing.T) {
 			watchers := func() int {
 				j.mu.Lock()
 				defer j.mu.Unlock()
-				return len(j.subs)
+				return j.watch.Watchers()
 			}
 			return f.CoordURL + "/v1/jobs/" + id, watchers, func() bool { return !j.isTerminal() }
 		}},

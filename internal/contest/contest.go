@@ -24,6 +24,7 @@ import (
 	"fmt"
 
 	"archcontest/internal/pipeline"
+	"archcontest/internal/sim"
 	"archcontest/internal/ticks"
 )
 
@@ -49,7 +50,9 @@ type Options struct {
 	// Zero selects 256.
 	StoreQueueCap int
 	// RegionSize, if non-zero, logs per-region retirement times on every
-	// core (the system-level region log is the winner's).
+	// core (the system-level region log is the winner's). Each core
+	// reserves n / RegionSize 8-byte times up front, so a non-zero value
+	// may not be below the paper's 20-instruction region (sim.RegionSize).
 	RegionSize int
 	// NoTrainOnInject disables predictor training on injected branches.
 	NoTrainOnInject bool
@@ -124,7 +127,8 @@ type Observer interface {
 // Validate reports the first option NewSystem cannot run with, naming its
 // field: the key a spec's contest object takes. No duration, MaxLag or
 // StoreQueueCap may be negative (zero selects a default where the field's
-// comment says so), and MaxLag may not exceed MaxLagLimit.
+// comment says so), MaxLag may not exceed MaxLagLimit, and a non-zero
+// RegionSize may not be below sim.RegionSize.
 func (o Options) Validate() error {
 	if o.MaxLag < 0 {
 		return fmt.Errorf("contest: MaxLag %d must be >= 1 (0 selects the default)", o.MaxLag)
@@ -134,6 +138,9 @@ func (o Options) Validate() error {
 	}
 	if o.StoreQueueCap < 0 {
 		return fmt.Errorf("contest: StoreQueueCap %d must be >= 1 (0 selects the default)", o.StoreQueueCap)
+	}
+	if o.RegionSize != 0 && o.RegionSize < sim.RegionSize {
+		return fmt.Errorf("contest: RegionSize %d must be 0 (no region log) or at least %d", o.RegionSize, sim.RegionSize)
 	}
 	for _, f := range []struct {
 		key string

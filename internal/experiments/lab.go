@@ -228,20 +228,21 @@ func (l *Lab) execTimed(ctx context.Context, kind, name string, fn func()) error
 	return nil
 }
 
-// parallel runs fn(i) for i in [0, n) on a worker pool of at most
-// Parallelism goroutines total (not one goroutine per item) and returns
-// the error of the lowest-indexed failing item, deterministically. Once
-// the context ends, workers claim the remaining un-started items and mark
-// them with the context error instead of running them, so a cancelled
-// campaign abandons its un-started DAG leaves immediately.
+// parallel is Parallel with the Lab's Parallelism.
 func (l *Lab) parallel(ctx context.Context, n int, fn func(i int) error) error {
+	return Parallel(ctx, l.cfg.Parallelism, n, fn)
+}
+
+// Parallel runs fn(i) for i in [0, n) on a pool of 1..workers goroutines
+// (not one per item) and returns the error of the lowest-indexed failing
+// item, deterministically. Once the context ends, the workers mark the
+// remaining un-started items with the context error instead of running
+// them, so a cancelled campaign abandons its un-started leaves at once.
+func Parallel(ctx context.Context, workers, n int, fn func(i int) error) error {
 	if n <= 0 {
 		return nil
 	}
-	workers := l.cfg.Parallelism
-	if workers > n {
-		workers = n
-	}
+	workers = max(1, min(workers, n))
 	errs := make([]error, n)
 	var next atomic.Int64
 	next.Store(-1)

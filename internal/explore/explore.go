@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sync"
 
 	"archcontest/internal/branch"
 	"archcontest/internal/config"
@@ -348,38 +347,6 @@ func fastIPTOf(fm *fastmodel.Model, name string, s state) (float64, bool) {
 	return est.IPT, true
 }
 
-// forEach runs fn(i) for i in [0, n) on at most par concurrent goroutines.
-func forEach(par, n int, fn func(i int)) {
-	if n <= 0 {
-		return
-	}
-	if par > n {
-		par = n
-	}
-	if par <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	work := make(chan int)
-	for w := 0; w < par; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				fn(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
-}
-
 // Customize anneals a core configuration that maximizes IPT on the trace.
 //
 // The walk consumes two RNG streams split from the seed: proposals
@@ -495,13 +462,18 @@ func Customize(ctx context.Context, tr *trace.Trace, opts Options) (Result, erro
 				res.Detailed++
 			}
 		}
-		forEach(opts.Parallelism, k, func(j int) {
+		// An evaluation error rejects a candidate, but one cut short or
+		// skipped once the context ends was never evaluated: the walk ends
+		// here rather than consume it.
+		if err := experiments.Parallel(ctx, opts.Parallelism, k, func(j int) error {
 			c := &cands[j]
-			if c.filtered || c.deferred {
-				return
+			if !c.filtered && !c.deferred {
+				c.cfg, c.ipt, c.err = ev.eval(ctx, c.st)
 			}
-			c.cfg, c.ipt, c.err = ev.eval(ctx, c.st)
-		})
+			return ctx.Err()
+		}); err != nil {
+			return Result{}, err
+		}
 		// Consume in sequence order; stop the window at the first
 		// acceptance (later candidates were proposed from a state the walk
 		// no longer occupies).
@@ -521,6 +493,9 @@ func Customize(ctx context.Context, tr *trace.Trace, opts Options) (Result, erro
 				if c.deferred {
 					res.Detailed++
 					c.cfg, c.ipt, c.err = ev.eval(ctx, c.st)
+					if err := ctx.Err(); err != nil {
+						return Result{}, err
+					}
 				}
 				if c.err == nil {
 					res.Evaluated++

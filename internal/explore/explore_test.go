@@ -2,6 +2,7 @@ package explore
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"archcontest/internal/config"
@@ -201,5 +202,27 @@ func TestCustomizeWithCacheIdentical(t *testing.T) {
 	}
 	if st := cache.Stats(); st.Hits == 0 {
 		t.Errorf("warm run hit nothing: %+v", st)
+	}
+}
+
+// TestCancelledAnnealStops: a walk cancelled from inside its first
+// Progress call returns the context's error and reports no further move,
+// although its lookahead window holds candidates that were evaluated, or
+// skipped by the pool, after the cancellation.
+func TestCancelledAnnealStops(t *testing.T) {
+	tr := workload.MustGenerate("gzip", 5000)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	calls := 0
+	_, err := Customize(ctx, tr, Options{Seed: 1, Steps: 60, Lookahead: 8, Parallelism: 2,
+		Progress: func(int, config.CoreConfig, float64) {
+			calls++
+			cancel()
+		}})
+	if !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled walk returned %v, want context.Canceled", err)
+	}
+	if calls != 1 {
+		t.Errorf("%d Progress calls, want exactly 1 (the cancelling one)", calls)
 	}
 }

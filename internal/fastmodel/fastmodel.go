@@ -144,11 +144,11 @@ func (m *Model) predFor(cfg config.CoreConfig) (*predReplay, error) {
 
 // memFor replays the memory accesses through tag-only L1/L2 arrays,
 // memoized by the full memory-side component configuration (latencies
-// excluded — they do not change which accesses miss). The replay mirrors
-// the hierarchy's tag behaviour exactly: the configured replacement
-// policies drive victim choice, and the configured prefetcher observes
-// demand loads and prefills both levels the way Hierarchy.Load does, so
-// the miss classification stays exact for every component combination.
+// excluded — they do not change which accesses miss). The configured
+// replacement policies drive victim choice, and the configured prefetcher
+// prefills both levels the way Hierarchy.Load does. Stores differ: the
+// replay touches L2 only on an L1 store miss, but the write-through
+// Hierarchy.Store writes L2 on every store, so L2 victims can differ.
 func (m *Model) memFor(cfg config.CoreConfig) (*memReplay, error) {
 	l1Cfg, l2Cfg := cfg.L1D, cfg.L2D
 	l1Cfg.LatencyCycles, l2Cfg.LatencyCycles = 0, 0

@@ -99,9 +99,7 @@ type Job struct {
 	prog  atomic.Int64 // done units
 	total atomic.Int64
 
-	subMu   sync.Mutex
-	subs    map[int]chan struct{}
-	nextSub int
+	watch Notifier
 
 	mu         sync.Mutex
 	statsFn    func() experiments.CampaignStats
@@ -169,47 +167,16 @@ func (j *Job) Snapshot() Snapshot {
 	return s
 }
 
-// Subscribe registers a watcher: the returned channel receives a (coalesced)
-// notification whenever the job's sequence counter advances, including the
-// advance into a terminal state. The release function MUST be called when
-// the watcher goes away (client disconnect, handler return) — it is what
-// keeps an abandoned watch from holding job resources forever. Release is
-// idempotent.
-func (j *Job) Subscribe() (<-chan struct{}, func()) {
-	ch := make(chan struct{}, 1)
-	j.subMu.Lock()
-	if j.subs == nil {
-		j.subs = make(map[int]chan struct{})
-	}
-	id := j.nextSub
-	j.nextSub++
-	j.subs[id] = ch
-	j.subMu.Unlock()
-	return ch, func() {
-		j.subMu.Lock()
-		delete(j.subs, id)
-		j.subMu.Unlock()
-	}
-}
+// Subscribe registers a watcher (see Notifier.Subscribe), notified
+// whenever the job's sequence counter advances, into a terminal state too.
+func (j *Job) Subscribe() (<-chan struct{}, func()) { return j.watch.Subscribe() }
 
-// Watchers reports the number of live subscriptions — the regression probe
-// for "a disconnected watch client must release its watcher".
-func (j *Job) Watchers() int {
-	j.subMu.Lock()
-	defer j.subMu.Unlock()
-	return len(j.subs)
-}
+// Watchers reports the number of live subscriptions.
+func (j *Job) Watchers() int { return j.watch.Watchers() }
 
 func (j *Job) bump() {
 	j.seq.Add(1)
-	j.subMu.Lock()
-	for _, ch := range j.subs {
-		select {
-		case ch <- struct{}{}:
-		default: // watcher already has a pending notification
-		}
-	}
-	j.subMu.Unlock()
+	j.watch.Notify()
 }
 
 func (j *Job) setState(s State) {

@@ -5,6 +5,7 @@ import (
 
 	"archcontest/internal/cache"
 	"archcontest/internal/contest"
+	"archcontest/internal/sim"
 )
 
 // FuzzSpec: Parse then Validate never panics, whatever the bytes, and every
@@ -12,8 +13,8 @@ import (
 // most maxN instructions, cache levels of at most cache.MaxLines lines, an
 // explore window and step count within their limits, the core count its
 // kind allows (2..8 for a contest), and contest options with no negative
-// duration and a MaxLag of at most contest.MaxLagLimit. The target never
-// executes a spec.
+// duration, a MaxLag of at most contest.MaxLagLimit and a RegionSize of 0
+// or at least sim.RegionSize. The target never executes a spec.
 //
 //	go test -fuzz=FuzzSpec -fuzztime=30s -run '^$' ./internal/spec/
 func FuzzSpec(f *testing.F) {
@@ -56,6 +57,9 @@ func FuzzSpec(f *testing.F) {
 		if o := sp.Contest; o != nil {
 			if o.MaxLag < 0 || o.MaxLag > contest.MaxLagLimit {
 				t.Errorf("accepted contest MaxLag %d", o.MaxLag)
+			}
+			if o.RegionSize != 0 && o.RegionSize < sim.RegionSize {
+				t.Errorf("accepted contest RegionSize %d", o.RegionSize)
 			}
 			for _, ns := range []float64{o.LatencyNs, o.ExceptionHandlerNs, o.ExceptionReforkNs,
 				o.ReforkWarmupNs, o.LeadChangeWarmupNs, o.MaxTimeNs} {

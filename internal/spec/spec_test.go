@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"archcontest/internal/branch"
+	"archcontest/internal/cache"
 	"archcontest/internal/config"
 	"archcontest/internal/contest"
 )
@@ -124,8 +125,9 @@ func TestSpecInferKind(t *testing.T) {
 
 // hostileSpecs are shapes that parse and, without admission limits, would
 // make a node allocate until it dies: a cache level of 2^40 lines, an
-// explore window of 10^8 candidates, and nine custom cores whose predictors
-// Validate would build before counting them.
+// explore window of 10^8 candidates, nine custom cores whose predictors
+// Validate would build before counting them, and an 8-core contest at
+// n = 10^8 logging every retirement (800 MB of region log per core).
 func hostileSpecs() map[string]string {
 	huge := config.MustPaletteCore("gcc")
 	huge.Name = "huge"
@@ -146,7 +148,22 @@ func hostileSpecs() map[string]string {
 		"refork":  contestSpec(`"ExceptionEvery":100,"ExceptionKillRefork":true,"ExceptionReforkNs":-1`),
 		"maxtime": contestSpec(`"MaxTimeNs":-1`),
 		"maxlag":  contestSpec(`"MaxLag":4611686018427387905`),
+		"region": `{"kind":"contest","bench":"gcc","n":100000000,` +
+			`"cores":["gcc","mcf","gzip","vpr","twolf","bzip","crafty","gap"],"contest":{"RegionSize":1}}`,
 	}
+}
+
+// customSpec returns a run spec of one custom core: the gcc palette core
+// with mut applied.
+func customSpec(mut func(*config.CoreConfig)) string {
+	c := config.MustPaletteCore("gcc")
+	c.Name = "custom"
+	mut(&c)
+	b, err := json.Marshal(c)
+	if err != nil {
+		panic(err)
+	}
+	return `{"kind":"run","bench":"gcc","custom":[` + string(b) + `]}`
 }
 
 // contestSpec returns a gcc/mcf contest spec with the given contest options.
@@ -196,6 +213,12 @@ func TestSpecInvalid(t *testing.T) {
 		{"MaxLag of 2^62+1", hostile["maxlag"], "MaxLag 4611686018427387905 exceeds the limit of 1048576"},
 		{"MaxLag one past the limit", contestSpec(`"MaxLag":1048577`), "limit of 1048576"},
 		{"negative contest latency", contestSpec(`"LatencyNs":-0.5`), "negative LatencyNs"},
+		{"RegionSize of 1 on 8 cores at n = 10^8", hostile["region"], "RegionSize 1 must be 0 (no region log) or at least 20"},
+		{"negative RegionSize", contestSpec(`"RegionSize":-1`), "RegionSize -1 must be 0 (no region log) or at least 20"},
+		{"params on srrip", customSpec(func(c *config.CoreConfig) { c.L1D.Replacement, c.L1D.ReplParams = "srrip", "x" }),
+			`replacement policy "srrip" takes no params, got "x"`},
+		{"params on stride", customSpec(func(c *config.CoreConfig) { c.Prefetch = cache.PrefetchConfig{Name: "stride", Params: "x"} }),
+			`prefetcher "stride" takes no params, got "x"`},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -233,6 +256,35 @@ func TestSpecValidateBuildsNoPredictor(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatalf("largest accepted TAGE rejected: %v", err)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+		t.Errorf("Validate allocated %d bytes, want under 1 MB", n)
+	}
+}
+
+// TestSpecValidateBuildsNoCacheComponent: Validate checks the built-in
+// replacement policies and prefetchers without building them. Eight custom
+// cores at the line limit on both levels, with SRRIP or random replacement
+// and a stride or next-line prefetcher, would allocate 16 MB of SRRIP
+// state if the check built it.
+func TestSpecValidateBuildsNoCacheComponent(t *testing.T) {
+	sp := Spec{Kind: KindContest, Bench: "gcc"}
+	for i := 0; i < 8; i++ {
+		c := config.MustPaletteCore("gcc")
+		c.Name = fmt.Sprintf("big%d", i)
+		repl := []string{"srrip", "random"}[i%2]
+		for _, l := range []*cache.Config{&c.L1D, &c.L2D} {
+			l.Sets, l.Assoc, l.Replacement = cache.MaxLines/4, 4, repl
+		}
+		c.Prefetch.Name = []string{"stride", "nextline"}[i/2%2]
+		sp.Custom = append(sp.Custom, c)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := sp.Validate()
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatalf("cores at the line limit rejected: %v", err)
 	}
 	if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
 		t.Errorf("Validate allocated %d bytes, want under 1 MB", n)
