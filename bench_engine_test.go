@@ -123,7 +123,7 @@ func BenchmarkTraceGeneration(b *testing.B) {
 	b.ReportMetric(float64(tr.Bytes())/float64(tr.Len()), "B/inst")
 }
 
-// BenchmarkTraceFingerprint measures Trace.Fingerprint, the FNV-1a hash
+// BenchmarkTraceFingerprint measures Trace.Fingerprint, the content hash
 // every result-cache key starts from. A fingerprint is computed once per
 // trace, so each iteration hashes a fresh prefix of one generated trace,
 // one instruction short of it.

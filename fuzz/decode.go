@@ -14,8 +14,8 @@
 //
 // Every target f.Adds the seed corpus (SeedCorpus), which covers the
 // interesting regimes by construction: exception rendezvous, saturated
-// laggers, and store-queue backpressure. FuzzPipeline and FuzzContest also
-// keep a checked-in copy under testdata/fuzz/, regenerated by
+// laggers, and store-queue backpressure. FuzzContest also keeps a
+// checked-in copy under testdata/fuzz/FuzzContest/, regenerated by
 // `go run ./fuzz/gen`.
 package fuzz
 

@@ -120,6 +120,17 @@ func FuzzResultCacheKey(f *testing.F) {
 		if contestKey(vopts) != contestKey(opts) {
 			t.Error("contest key sees the attached observer")
 		}
+		// Progress blindness, likewise: a served job's progress hook must
+		// not split its leaf from the same plain leaf.
+		progress := func(done, total int64) {}
+		if runKey(sim.RunOptions{Progress: progress}) != runKey(sim.RunOptions{}) {
+			t.Error("run key sees the progress callback")
+		}
+		popts := opts
+		popts.Progress = progress
+		if contestKey(popts) != contestKey(opts) {
+			t.Error("contest key sees the progress callback")
+		}
 
 		// The default latency fills an unset one: the engine runs both
 		// alike, so they must share one cache entry.
@@ -236,32 +247,31 @@ func TestSeedRegimes(t *testing.T) {
 	}
 }
 
-// refFingerprint is FNV-1a over a trace's name, its length and every field
-// of every instruction, computed from the raw slice: the definition
-// trace.Fingerprint must meet whatever the trace's stored form.
+// refFingerprint is trace.Fingerprint's definition computed from the raw
+// slice, without a static table: FNV-1a over the name, one multiply-rotate
+// step for the length and one per instruction, over a digest of every field
+// but the address xored with the address times an odd constant, then
+// splitmix64's finalizer.
 func refFingerprint(name string, insts []isa.Inst) uint64 {
+	rotl := func(x uint64, k uint) uint64 { return x<<k | x>>(64-k) }
+	step := func(h, v uint64) uint64 { return rotl((h^v)*0x9e3779b97f4a7c15, 29) }
 	h := uint64(14695981039346656037)
-	mix := func(v uint64, n int) {
-		for i := 0; i < n; i++ {
-			h ^= v & 0xff
-			h *= 1099511628211
-			v >>= 8
-		}
-	}
 	for i := 0; i < len(name); i++ {
-		mix(uint64(name[i]), 1)
+		h ^= uint64(name[i])
+		h *= 1099511628211
 	}
-	mix(uint64(len(insts)), 8)
+	h = step(h, uint64(len(insts)))
 	for _, in := range insts {
-		taken := uint64(0)
+		f := uint64(in.Src1) | uint64(in.Src2)<<8 | uint64(in.Dst)<<16 | uint64(in.Op)<<24
 		if in.Taken {
-			taken = 1
+			f |= 1 << 32
 		}
-		mix(in.PC, 8)
-		mix(in.Addr, 8)
-		mix(uint64(in.Src1)|uint64(in.Src2)<<16|uint64(in.Dst)<<32|uint64(in.Op)<<48|taken<<56, 8)
+		digest := (rotl(in.PC*0x94d049bb133111eb, 32) ^ f) * 0x9e3779b97f4a7c15
+		h = step(h, digest^in.Addr*0xbf58476d1ce4e5b9)
 	}
-	return h
+	h = (h ^ h>>30) * 0xbf58476d1ce4e5b9
+	h = (h ^ h>>27) * 0x94d049bb133111eb
+	return h ^ h>>31
 }
 
 // widthSwitchSeed encodes, in decodeInsts' layout, 400 loads with 32-bit

@@ -1,6 +1,6 @@
 // Command gen regenerates the checked-in fuzz seed corpus under
-// fuzz/testdata/fuzz/ from fuzz.SeedCorpus(), for FuzzPipeline and
-// FuzzContest. Run from the repository root:
+// fuzz/testdata/fuzz/ from fuzz.SeedCorpus(), for FuzzContest. Run from the
+// repository root:
 //
 //	go run ./fuzz/gen
 package main
@@ -14,7 +14,7 @@ import (
 	"archcontest/fuzz"
 )
 
-var targets = []string{"FuzzPipeline", "FuzzContest"}
+var targets = []string{"FuzzContest"}
 
 func main() {
 	for _, target := range targets {

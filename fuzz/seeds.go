@@ -5,10 +5,9 @@ package fuzz
 // engine defaults, exception rendezvous (both handler styles), a saturated
 // lagger, store-queue backpressure, a 3-way contest, predictor diversity
 // (TAGE vs bimodal), cold-state kill-refork warm-up, and cache-component
-// diversity (SRRIP/random replacement with both prefetchers). `go run
-// ./fuzz/gen` writes these into testdata/fuzz/<target>/ for FuzzPipeline
-// and FuzzContest; every target also f.Adds them, so `go test` exercises
-// each regime even without -fuzz.
+// diversity (SRRIP/random replacement with both prefetchers). Every target
+// f.Adds them, so `go test` exercises each regime even without -fuzz; `go
+// run ./fuzz/gen` also writes them into testdata/fuzz/FuzzContest/.
 
 func pad(b []byte, n int) []byte {
 	out := make([]byte, n)

@@ -479,11 +479,11 @@ func NewHierarchy(l1, l2 Config, memLatency int, policy WritePolicy) (*Hierarchy
 	}
 	c1, err := New(l1)
 	if err != nil {
-		return nil, fmt.Errorf("L1: %w", err)
+		return nil, fmt.Errorf("L1D: %w", err)
 	}
 	c2, err := New(l2)
 	if err != nil {
-		return nil, fmt.Errorf("L2: %w", err)
+		return nil, fmt.Errorf("L2D: %w", err)
 	}
 	return &Hierarchy{
 		L1:               c1,

@@ -53,8 +53,33 @@ type CoreConfig struct {
 	Prefetch cache.PrefetchConfig `json:",omitempty"`
 }
 
-// Validate reports whether the configuration is well formed.
+// Validate reports whether the configuration is well formed: its own
+// fields (ValidateCore), then its components. A built-in component is
+// checked without building it; a registered one can only be checked by its
+// factory, so Validate builds it.
 func (c CoreConfig) Validate() error {
+	if err := c.ValidateCore(); err != nil {
+		return err
+	}
+	if err := c.L1D.Validate(); err != nil {
+		return fmt.Errorf("config %s: L1D: %w", c.Name, err)
+	}
+	if err := c.L2D.Validate(); err != nil {
+		return fmt.Errorf("config %s: L2D: %w", c.Name, err)
+	}
+	if err := c.Predictor.Validate(); err != nil {
+		return fmt.Errorf("config %s: %w", c.Name, err)
+	}
+	if err := c.Prefetch.Validate(); err != nil {
+		return fmt.Errorf("config %s: %w", c.Name, err)
+	}
+	return nil
+}
+
+// ValidateCore checks the core's own fields, not its cache levels,
+// predictor or prefetcher: the checks a constructor that builds the
+// components, and reports their errors, still needs.
+func (c CoreConfig) ValidateCore() error {
 	if c.Name == "" {
 		return fmt.Errorf("config: unnamed core")
 	}
@@ -86,18 +111,6 @@ func (c CoreConfig) Validate() error {
 	}
 	if c.MemLatencyCycles < 10 || c.MemLatencyCycles > 2000 {
 		return fmt.Errorf("config %s: memory latency %d out of range", c.Name, c.MemLatencyCycles)
-	}
-	if err := c.L1D.Validate(); err != nil {
-		return fmt.Errorf("config %s: L1D: %w", c.Name, err)
-	}
-	if err := c.L2D.Validate(); err != nil {
-		return fmt.Errorf("config %s: L2D: %w", c.Name, err)
-	}
-	if err := c.Predictor.Validate(); err != nil {
-		return fmt.Errorf("config %s: %w", c.Name, err)
-	}
-	if err := c.Prefetch.Validate(); err != nil {
-		return fmt.Errorf("config %s: %w", c.Name, err)
 	}
 	return nil
 }

@@ -107,6 +107,10 @@ type Options struct {
 	// caches when an observer is attached, or the checks silently don't
 	// run.
 	Observer Observer `json:"-"`
+	// Progress, if non-nil, reports the leader's retirement progress from
+	// the scheduler loop (see sim.Meter). Like Observer, it is excluded
+	// from result-cache keys and never alters the run's result.
+	Progress func(done, total int64) `json:"-"`
 }
 
 // Observer observes a contested run for verification. Implementations

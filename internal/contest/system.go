@@ -7,6 +7,7 @@ import (
 	"archcontest/internal/cache"
 	"archcontest/internal/config"
 	"archcontest/internal/pipeline"
+	"archcontest/internal/sim"
 	"archcontest/internal/ticks"
 	"archcontest/internal/trace"
 )
@@ -225,6 +226,7 @@ func (s *System) RunContext(ctx context.Context) (Result, error) {
 func (s *System) runSingleStep(ctx context.Context) (Result, error) {
 	maxTime := ticks.Time(ticks.FromNanoseconds(s.opts.MaxTimeNs))
 	n := len(s.cores)
+	progress := s.meter()
 	done := ctx.Done()
 	var poll int
 	for {
@@ -251,10 +253,12 @@ func (s *System) runSingleStep(ctx context.Context) (Result, error) {
 			return Result{}, fmt.Errorf("contest: %s exceeded %gns without finishing", s.tr.Name(), s.opts.MaxTimeNs)
 		}
 		c.Step()
-		if r := c.Retired(); r > s.cores[s.leader].Retired() && min != s.leader {
+		ret := c.Retired()
+		if ret > s.cores[s.leader].Retired() && min != s.leader {
 			s.leader = min
 			s.leadChanges++
 		}
+		progress.Observe(ret)
 		if s.opts.Observer != nil {
 			s.opts.Observer.AfterStep(s, min)
 		}
@@ -286,6 +290,7 @@ func (s *System) runEventDriven(ctx context.Context) (Result, error) {
 	}
 	maxTime := ticks.Time(ticks.FromNanoseconds(s.opts.MaxTimeNs))
 	obs := s.opts.Observer
+	progress := s.meter()
 	done := ctx.Done()
 	var poll int
 	for {
@@ -312,10 +317,12 @@ func (s *System) runEventDriven(ctx context.Context) (Result, error) {
 		c := s.cores[i]
 		c.SkipTo(s.wake[i])
 		c.Step()
-		if ret := c.Retired(); ret > s.cores[s.leader].Retired() && i != s.leader {
+		ret := c.Retired()
+		if ret > s.cores[s.leader].Retired() && i != s.leader {
 			s.leader = i
 			s.leadChanges++
 		}
+		progress.Observe(ret)
 		if obs != nil {
 			obs.AfterStep(s, i)
 		}
@@ -325,6 +332,15 @@ func (s *System) runEventDriven(ctx context.Context) (Result, error) {
 		}
 		s.reschedule(i)
 	}
+}
+
+// meter returns the system's progress meter. Both schedulers feed it the
+// retired count of the core they just stepped. A core's count changes only
+// in its own step, and every other core's count lies below the meter's next
+// threshold, so a count that reaches it is the leader's: the meter reports
+// the leader's retirements.
+func (s *System) meter() sim.Meter {
+	return sim.NewMeter(s.opts.Progress, int64(s.tr.Len()))
 }
 
 // reschedule applies the shared skip rule to core i after its step. A core

@@ -315,24 +315,26 @@ type Core struct {
 	retireInRegion int
 }
 
-// NewCore builds a core for the configuration and trace.
+// NewCore builds a core for the configuration and trace. It checks the
+// core's own fields and builds each component once, in CoreConfig.Validate's
+// order, reporting a component's error as Validate does.
 func NewCore(cfg config.CoreConfig, tr *trace.Trace, opts Options) (*Core, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.ValidateCore(); err != nil {
 		return nil, err
 	}
 	if tr == nil || tr.Len() == 0 {
 		return nil, fmt.Errorf("pipeline: empty trace")
 	}
-	pred, err := cfg.Predictor.New()
-	if err != nil {
-		return nil, err
-	}
 	hier, err := cache.NewHierarchy(cfg.L1D, cfg.L2D, cfg.MemLatencyCycles, opts.WritePolicy)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("config %s: %w", cfg.Name, err)
+	}
+	pred, err := cfg.Predictor.New()
+	if err != nil {
+		return nil, fmt.Errorf("config %s: %w", cfg.Name, err)
 	}
 	if err := hier.AttachPrefetcher(cfg.Prefetch); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("config %s: %w", cfg.Name, err)
 	}
 	windowCap := int64(cfg.ROBSize + cfg.Width*cfg.FrontEndDepth + 2*cfg.Width)
 	ringSize := int64(1)

@@ -6,6 +6,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"archcontest/internal/cache"
 	"archcontest/internal/config"
@@ -74,10 +75,58 @@ type RunOptions struct {
 	// never alters the run's result; campaign layers must bypass their
 	// caches when a checker is attached, or the checks silently don't run.
 	Checker Checker `json:"-"`
+	// Progress, if non-nil, reports retirement progress from the run loop
+	// (see Meter). Like Checker, it is excluded from result-cache keys and
+	// never alters the run's result.
+	Progress func(done, total int64) `json:"-"`
 }
 
 // Checker observes a core's execution for verification.
 type Checker = pipeline.Checker
+
+// progressSteps is how finely a Meter divides a run: it reports each time
+// retirement crosses another 1/progressSteps of the trace.
+const progressSteps = 256
+
+// Meter reports a run's retirement progress to a callback: (done, total)
+// each time done, the instructions retired so far, crosses another 1/256
+// of the trace's total, so at most 256 times, and never with a smaller
+// done than before. A run loop calls Observe after every step, at the cost
+// of one compare between reports.
+type Meter struct {
+	fn          func(done, total int64)
+	total, next int64
+}
+
+// NewMeter returns the meter of a run of total instructions reporting to
+// fn. With a nil fn, or no instructions, it never reports.
+func NewMeter(fn func(done, total int64), total int64) Meter {
+	m := Meter{fn: fn, total: total, next: math.MaxInt64}
+	if fn != nil && total > 0 {
+		m.next = m.after(0)
+	}
+	return m
+}
+
+// Observe reports that done instructions have retired.
+func (m *Meter) Observe(done int64) {
+	if done >= m.next {
+		m.report(done)
+	}
+}
+
+func (m *Meter) report(done int64) {
+	m.next = m.after(done)
+	m.fn(done, m.total)
+}
+
+// after returns the first count past done that lies in a later 1/256 of
+// the trace: ceil(k*total/256) for k = floor(done*256/total) + 1. Past the
+// end it exceeds total, so the meter falls silent.
+func (m *Meter) after(done int64) int64 {
+	k := done*progressSteps/m.total + 1
+	return (k*m.total + progressSteps - 1) / progressSteps
+}
 
 // ctxPollStride is how many scheduler iterations pass between context
 // polls in the run loops. Each iteration is a progressing step (or a
@@ -106,12 +155,14 @@ func RunContext(ctx context.Context, cfg config.CoreConfig, tr *trace.Trace, opt
 	}
 	done := ctx.Done()
 	var poll int
+	progress := NewMeter(opts.Progress, int64(tr.Len()))
 	for !core.Done() {
 		if opts.SingleStep {
 			core.Step()
 		} else {
 			core.Advance()
 		}
+		progress.Observe(core.Retired())
 		if opts.MaxCycles > 0 && core.Cycle() > opts.MaxCycles {
 			return Result{}, fmt.Errorf("sim: %s on %s exceeded %d cycles", tr.Name(), cfg.Name, opts.MaxCycles)
 		}

@@ -13,10 +13,8 @@ import (
 	"archcontest/internal/explore"
 	"archcontest/internal/merit"
 	"archcontest/internal/obs"
-	"archcontest/internal/pipeline"
 	"archcontest/internal/resultcache"
 	"archcontest/internal/sim"
-	"archcontest/internal/ticks"
 	"archcontest/internal/trace"
 	"archcontest/internal/workload"
 )
@@ -105,8 +103,10 @@ func (o *Outcome) WriteChromeTrace(w io.Writer) error {
 	return o.recorder.WriteChromeTrace(w)
 }
 
-// progressTracker reports monotonic execution progress, throttled so the
-// hook fires O(hundreds) of times per run instead of per retirement.
+// progressTracker sends a spec's final progress, (total, total), and
+// reports an exploration's step progress in between, monotonic and
+// throttled so the hook fires O(hundreds) of times per walk. A run or a
+// contest reports its own progress from the engine's run loop.
 type progressTracker struct {
 	fn     func(done, total int64)
 	total  int64
@@ -147,35 +147,6 @@ func (p *progressTracker) finish() {
 	p.fn(p.max, p.total)
 }
 
-// checker adapts the tracker to pipeline.Checker (per-core hooks).
-func (p *progressTracker) checker() pipeline.Checker {
-	if p == nil {
-		return nil
-	}
-	return progressChecker{p}
-}
-
-type progressChecker struct{ p *progressTracker }
-
-func (c progressChecker) AfterCycle(*pipeline.Core)                          {}
-func (c progressChecker) OnRetire(_ *pipeline.Core, seq int64, _ ticks.Time) { c.p.observe(seq + 1) }
-func (c progressChecker) OnInject(_ *pipeline.Core, seq int64, _ ticks.Time) { c.p.observe(seq + 1) }
-
-// observer adapts the tracker to contest.Observer: progress is the
-// furthest retirement on any core.
-func (p *progressTracker) observer() contest.Observer {
-	if p == nil {
-		return nil
-	}
-	return progressObserver{p}
-}
-
-type progressObserver struct{ p *progressTracker }
-
-func (o progressObserver) Attach(*contest.System)           {}
-func (o progressObserver) CoreChecker(int) pipeline.Checker { return progressChecker{o.p} }
-func (o progressObserver) AfterStep(*contest.System, int)   {}
-
 // Execute validates and runs the spec inside the environment. Cancelling
 // ctx stops the execution cooperatively: the engines exit at their next
 // context poll, campaign layers abandon un-started leaves, and no partial
@@ -212,8 +183,10 @@ func generateTrace(sp Spec) (*trace.Trace, error) {
 
 // executeRun and executeContest execute one leaf each through the
 // experiments leaf path: a plain leaf is served from and stored into the
-// cache, a verified or recorded one bypasses it. The progress tracker and
-// the recorder ride beside the verification checkers.
+// cache, a verified or recorded one bypasses it. The engine's run loop
+// reports progress straight to the hook, and the tracker sends the final
+// (n, n), also for a leaf served from the cache. The recorder rides beside
+// the verification checkers.
 func executeRun(ctx context.Context, sp Spec, env *Env, hooks Hooks) (*Outcome, error) {
 	cfgs, err := sp.ResolveCores()
 	if err != nil {
@@ -230,12 +203,11 @@ func executeRun(ctx context.Context, sp Spec, env *Env, hooks Hooks) (*Outcome, 
 	}
 	out := &Outcome{Kind: KindRun}
 	tracker := newProgressTracker(hooks.Progress, int64(tr.Len()))
-	var recChk pipeline.Checker
+	opts.Progress = hooks.Progress
 	if sp.Record {
 		out.recorder = obs.NewRecorder(obs.Options{SampleIntervalNs: sp.SampleNs})
-		recChk = out.recorder.CoreChecker(0)
+		opts.Checker = out.recorder.CoreChecker(0)
 	}
-	opts.Checker = obs.MultiChecker(tracker.checker(), recChk)
 	res, err := experiments.Cached(env.Cache, experiments.RunKey(tr, cfg, opts), sp.Verify || sp.Record, nil, func() (sim.Result, error) {
 		if sp.Verify {
 			return experiments.RunVerified(ctx, cfg, tr, opts, 0)
@@ -276,12 +248,11 @@ func executeContest(ctx context.Context, sp Spec, env *Env, hooks Hooks) (*Outco
 	}
 	out := &Outcome{Kind: KindContest}
 	tracker := newProgressTracker(hooks.Progress, int64(tr.Len()))
-	var recObs contest.Observer
+	opts.Progress = hooks.Progress
 	if sp.Record {
 		out.recorder = obs.NewRecorder(obs.Options{SampleIntervalNs: sp.SampleNs})
-		recObs = out.recorder
+		opts.Observer = out.recorder
 	}
-	opts.Observer = obs.MultiObserver(tracker.observer(), recObs)
 	res, err := experiments.Cached(env.Cache, experiments.ContestKey(tr, cfgs, opts), sp.Verify || sp.Record, nil, func() (contest.Result, error) {
 		if sp.Verify {
 			return experiments.ContestVerified(ctx, cfgs, tr, opts, 0)

@@ -186,3 +186,36 @@ func TestExploreSpecHonoursEnvParallelism(t *testing.T) {
 		}
 	}
 }
+
+// TestProgressPlainAndVerified: a run and a contest, plain and verified,
+// report progress through Execute from the engine's run loop: at most 257
+// calls (at most 256 from the loop and the final one), more than the final
+// one alone, never decreasing, the last (n, n).
+func TestProgressPlainAndVerified(t *testing.T) {
+	for _, sp := range []Spec{
+		{Kind: KindRun, Bench: "twolf", N: testInsts, Cores: []string{"twolf"}},
+		{Kind: KindContest, Bench: "twolf", N: testInsts, Cores: []string{"twolf", "vpr"}},
+		{Kind: KindRun, Bench: "twolf", N: testInsts, Cores: []string{"twolf"}, Verify: true},
+		{Kind: KindContest, Bench: "twolf", N: testInsts, Cores: []string{"twolf", "vpr"}, Verify: true},
+	} {
+		var calls [][2]int64
+		hooks := Hooks{Progress: func(done, total int64) { calls = append(calls, [2]int64{done, total}) }}
+		if _, err := Execute(context.Background(), sp, NewEnv(nil), hooks); err != nil {
+			t.Fatal(err)
+		}
+		what := sp.Kind
+		if sp.Verify {
+			what = "verified " + what
+		}
+		n := int64(testInsts)
+		if len(calls) < 2 || len(calls) > 257 || calls[len(calls)-1] != [2]int64{n, n} {
+			t.Errorf("%s: %d progress calls ending %v, want 2 to 257 ending at (%d, %d)", what, len(calls), calls[max(0, len(calls)-1):], n, n)
+		}
+		for i := 1; i < len(calls); i++ {
+			if calls[i][0] < calls[i-1][0] {
+				t.Errorf("%s: progress decreased: %v then %v", what, calls[i-1], calls[i])
+				break
+			}
+		}
+	}
+}

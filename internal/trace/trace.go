@@ -451,47 +451,97 @@ func check(in *isa.Inst) error {
 }
 
 // Fingerprint returns a 64-bit content hash over the trace's name, length,
-// and every field of every dynamic instruction (FNV-1a). Two traces with
-// the same fingerprint executed on the same configuration produce the same
-// result, which is what makes the fingerprint a sound result-cache key
-// component: it captures not just the (benchmark, N) request but the
-// actual generated stream, so a change to the workload generator
-// invalidates cached results automatically. The hash is over the decoded
-// instructions, so the encoding does not enter it. It is computed once and
-// memoized (traces are immutable).
+// and every field of every dynamic instruction. Two traces with the same
+// fingerprint executed on the same configuration produce the same result,
+// which is what makes the fingerprint a sound result-cache key component:
+// it captures not just the (benchmark, N) request but the actual generated
+// stream, so a change to the workload generator invalidates cached results
+// automatically. It is computed once and memoized (traces are immutable).
+//
+// The hash is defined over the decoded instructions, so the encoding does
+// not enter it:
+//
+//	h = FNV-1a(name), then h = fpStep(h, n)
+//	for each instruction in: h = fpStep(h, fpDigest(in) ^ in.Addr*fpMix1)
+//	fingerprint = fpFinish(h)
+//
+// An instruction's digest covers every field but its address, so the loop
+// computes it once per static and takes one multiply-rotate step per
+// instruction. Each stage is a bijection in each of its inputs, so changing
+// any one field of any one instruction, or any one byte of the name, always
+// moves the result.
 func (t *Trace) Fingerprint() uint64 {
 	t.fpOnce.Do(func() {
-		const (
-			offset64 = 14695981039346656037
-			prime64  = 1099511628211
-		)
-		h := uint64(offset64)
-		mix := func(v uint64) {
-			for i := 0; i < 8; i++ {
-				h ^= v & 0xff
-				h *= prime64
-				v >>= 8
-			}
-		}
+		h := uint64(fnvOffset)
 		for i := 0; i < len(t.name); i++ {
-			h ^= uint64(t.name[i])
-			h *= prime64
+			h = (h ^ uint64(t.name[i])) * fnvPrime
 		}
-		mix(uint64(t.n))
-		r := t.Reader(0)
-		var in isa.Inst
-		for r.Next(&in) {
-			mix(in.PC)
-			mix(in.Addr)
-			taken := uint64(0)
-			if in.Taken {
-				taken = 1
-			}
-			mix(uint64(in.Src1) | uint64(in.Src2)<<16 | uint64(in.Dst)<<32 | uint64(in.Op)<<48 | taken<<56)
+		h = fpStep(h, uint64(t.n))
+		tab := make([]fpStatic, len(t.statics))
+		for k := range t.statics {
+			s := &t.statics[k]
+			tab[k] = fpStatic{digest: fpDigest(s), addr: s.Addr}
 		}
-		t.fp = h
+		if t.idx16 != nil {
+			h = fpStream(h, t.idx16[:t.n], tab, t.addrs)
+		} else {
+			h = fpStream(h, t.idx32[:t.n], tab, t.addrs)
+		}
+		t.fp = fpFinish(h)
 	})
 	return t.fp
+}
+
+// The fingerprint's constants: FNV-1a's for the name, then odd multipliers
+// (the golden ratio's and splitmix64's two) and a rotation.
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+
+	fpGolden = 0x9e3779b97f4a7c15
+	fpMix1   = 0xbf58476d1ce4e5b9
+	fpMix2   = 0x94d049bb133111eb
+	fpRot    = 29
+)
+
+// fpStatic is a static's fingerprint digest beside its Addr field, which
+// fills an instruction's address as in Reader.Next.
+type fpStatic struct {
+	digest, addr uint64
+}
+
+// fpStep folds v into h.
+func fpStep(h, v uint64) uint64 {
+	return bits.RotateLeft64((h^v)*fpGolden, fpRot)
+}
+
+// fpDigest hashes every field of an instruction but its address.
+func fpDigest(in *isa.Inst) uint64 {
+	f := uint64(in.Src1) | uint64(in.Src2)<<8 | uint64(in.Dst)<<16 | uint64(in.Op)<<24
+	if in.Taken {
+		f |= 1 << 32
+	}
+	return (bits.RotateLeft64(in.PC*fpMix2, 32) ^ f) * fpGolden
+}
+
+// fpStream folds the instructions with static indices idx into h.
+func fpStream[I uint16 | uint32](h uint64, idx []I, tab []fpStatic, addrs []uint32) uint64 {
+	apos := 0
+	for _, s := range idx {
+		e := &tab[s]
+		a := (uint64(addrs[apos]) | 0xffff_ffff_0000_0000) & e.addr
+		apos += int(e.addr & 1)
+		h = fpStep(h, e.digest^a*fpMix1)
+	}
+	return h
+}
+
+// fpFinish is splitmix64's finalizer, which spreads every bit of h over
+// the result.
+func fpFinish(h uint64) uint64 {
+	h = (h ^ h>>30) * fpMix1
+	h = (h ^ h>>27) * fpMix2
+	return h ^ h>>31
 }
 
 // Mix is the per-class instruction count of a trace.

@@ -105,31 +105,6 @@ func TestFootprintPanicsOnBadBlock(t *testing.T) {
 	New("t", nil).Footprint(48)
 }
 
-func TestFingerprint(t *testing.T) {
-	mk := func(name string, taken bool) *Trace {
-		return New(name, []isa.Inst{
-			{PC: 0x40, Op: isa.OpBranch, Taken: taken},
-			{PC: 0x44, Op: isa.OpALU, Dst: 3, Src1: 1, Src2: 2},
-		})
-	}
-	a, b := mk("gcc", true), mk("gcc", true)
-	if a.Fingerprint() != b.Fingerprint() {
-		t.Fatal("identical traces fingerprint differently")
-	}
-	if a.Fingerprint() != a.Fingerprint() {
-		t.Fatal("fingerprint not stable across calls")
-	}
-	for _, other := range []*Trace{
-		mk("mcf", true),                  // name differs
-		mk("gcc", false),                 // one outcome bit differs
-		New("gcc", []isa.Inst{*a.At(0)}), // length differs
-	} {
-		if other.Fingerprint() == a.Fingerprint() {
-			t.Fatalf("distinct trace collided: %s", other.Name())
-		}
-	}
-}
-
 // roundTrip checks that every read path of tr returns want exactly: a
 // Reader from the start, from every mark and the instruction before it, and
 // from every mark-relative offset class, At, and Prefix(k) for a spread of k.

@@ -13,6 +13,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"archcontest/internal/obs"
@@ -228,6 +229,63 @@ func TestThirdPartyComponentsInLeaderboard(t *testing.T) {
 	if !preds || !repls || !prefs {
 		t.Fatalf("toy components missing from the cross-product (pred=%v repl=%v pref=%v)", preds, repls, prefs)
 	}
+}
+
+// factoryCalls counts the calls of the counting components' factories.
+var factoryCalls struct{ pred, repl, pref atomic.Int64 }
+
+// registerCountingComponents registers the toy components again under
+// names whose factories count their calls, once per process.
+var registerCountingComponents = sync.OnceValue(func() error {
+	if err := RegisterPredictor("count-local", func(cfg BranchConfig) (BranchPredictor, error) {
+		factoryCalls.pred.Add(1)
+		return newToyLocal(cfg)
+	}); err != nil {
+		return err
+	}
+	if err := RegisterReplacer("count-fifo", func(sets, assoc int, params string) (CacheReplacer, error) {
+		factoryCalls.repl.Add(1)
+		return newToyFIFO(sets, assoc, params)
+	}); err != nil {
+		return err
+	}
+	return RegisterPrefetcher("count-twoahead", func(blockBytes int, params string) (CachePrefetcher, error) {
+		factoryCalls.pref.Add(1)
+		return newToyTwoAhead(blockBytes, params)
+	})
+})
+
+// TestRegisteredComponentsBuiltOnce: a run on a core whose predictor, both
+// replacement policies and prefetcher are registered components builds
+// each instance it uses once, 1, 2 and 1 factory calls, and so does each
+// contestant of a contest.
+func TestRegisteredComponentsBuiltOnce(t *testing.T) {
+	if err := registerCountingComponents(); err != nil {
+		t.Fatal(err)
+	}
+	cfg := MustPaletteCore("gcc")
+	cfg.Name = "gcc-counted"
+	cfg.Predictor = BranchConfig{Kind: "count-local"}
+	cfg.L1D.Replacement = "count-fifo"
+	cfg.L2D.Replacement = "count-fifo"
+	cfg.Prefetch = PrefetchConfig{Name: "count-twoahead"}
+	tr := MustGenerateTrace("gcc", 2000)
+	check := func(what string, cores int64) {
+		t.Helper()
+		got := [3]int64{factoryCalls.pred.Swap(0), factoryCalls.repl.Swap(0), factoryCalls.pref.Swap(0)}
+		if want := [3]int64{cores, 2 * cores, cores}; got != want {
+			t.Errorf("%s: predictor, replacer and prefetcher factories called %v times, want %v", what, got, want)
+		}
+	}
+	check("registration", 0)
+	if _, err := Run(cfg, tr, RunOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	check("run", 1)
+	if _, err := ContestRun([]CoreConfig{MustPaletteCore("gcc"), cfg, cfg}, tr, ContestOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	check("contest", 2)
 }
 
 func contains(xs []string, want string) bool {
