@@ -33,6 +33,7 @@ package main
 import (
 	"context"
 	"flag"
+	"fmt"
 	"log"
 	"net"
 	"net/http"
@@ -83,14 +84,35 @@ func main() {
 			log.Fatal("-cache.serve needs a backed cache (unset -cache.off, or point -cache.dir/-cache.remote somewhere)")
 		}
 	}
-	srv := &http.Server{Addr: *addr, Handler: cluster.NewNode(runner, opts)}
+	what := fmt.Sprintf("running jobs (workers=%d queue=%d)", *workers, *queue)
+	serve(*addr, what, "hard-cancels in-flight jobs", cluster.NewNode(runner, opts), *drainTimeout, func(ctx context.Context) {
+		// The drain timeout or a second signal hard-cancels everything
+		// still running and waits briefly for the cancellations to land.
+		if err := runner.Drain(ctx); err != nil {
+			runner.CancelAll()
+			landCtx, cancelLand := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancelLand()
+			if err := runner.Drain(landCtx); err != nil {
+				log.Fatalf("jobs stuck after hard cancel: %v", err)
+			}
+		}
+		cmdutil.PrintCacheStats(os.Stderr, env.Cache)
+		log.Printf("drained, exiting")
+	})
+}
 
-	ln, err := net.Listen("tcp", *addr)
+// serve is the daemon lifecycle of both modes. It listens on addr and
+// serves h until the first SIGTERM or SIGINT, then stops accepting HTTP
+// traffic and calls drain with a context that ends at drainTimeout or on a
+// second signal. what names the daemon in its first log line, and second
+// says what a second signal does.
+func serve(addr, what, second string, h http.Handler, drainTimeout time.Duration, drain func(context.Context)) {
+	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		log.Fatal(err)
 	}
-	log.Printf("listening on http://%s (workers=%d queue=%d)", ln.Addr(), *workers, *queue)
-
+	log.Printf("%s on http://%s", what, ln.Addr())
+	srv := &http.Server{Addr: addr, Handler: h}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 
@@ -98,35 +120,23 @@ func main() {
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	select {
 	case sig := <-sigc:
-		log.Printf("%v: draining (second signal hard-cancels)", sig)
+		log.Printf("%v: draining (a second signal %s)", sig, second)
 	case err := <-errc:
 		log.Fatal(err)
 	}
 
-	// Stop accepting HTTP traffic and drain the in-flight jobs. A second
-	// signal, or the drain timeout, hard-cancels everything still running
-	// and waits briefly for the cancellations to land.
-	drainCtx, cancelDrain := context.WithTimeout(context.Background(), *drainTimeout)
+	drainCtx, cancelDrain := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancelDrain()
 	go func() {
 		select {
 		case sig := <-sigc:
-			log.Printf("%v: hard-cancelling in-flight jobs", sig)
+			log.Printf("%v: second signal %s", sig, second)
 			cancelDrain()
 		case <-drainCtx.Done():
 		}
 	}()
 	go srv.Shutdown(drainCtx)
-	if err := runner.Drain(drainCtx); err != nil {
-		runner.CancelAll()
-		landCtx, cancelLand := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancelLand()
-		if err := runner.Drain(landCtx); err != nil {
-			log.Fatalf("jobs stuck after hard cancel: %v", err)
-		}
-	}
-	cmdutil.PrintCacheStats(os.Stderr, env.Cache)
-	log.Printf("drained, exiting")
+	drain(drainCtx)
 }
 
 // runCoordinator serves the cluster facade over the configured node set
@@ -145,41 +155,13 @@ func runCoordinator(addr, nodesFlag string, probe, drainTimeout time.Duration) {
 	}
 	c := cluster.NewCoordinator(cluster.CoordOptions{Nodes: nodes, ProbeInterval: probe})
 	defer c.Close()
-	srv := &http.Server{Addr: addr, Handler: c.Handler()}
-
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		log.Fatal(err)
-	}
-	log.Printf("coordinating %d nodes on http://%s", len(nodes), ln.Addr())
-
-	errc := make(chan error, 1)
-	go func() { errc <- srv.Serve(ln) }()
-
-	sigc := make(chan os.Signal, 2)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-	select {
-	case sig := <-sigc:
-		log.Printf("%v: draining (second signal abandons in-flight jobs)", sig)
-	case err := <-errc:
-		log.Fatal(err)
-	}
-
-	drainCtx, cancelDrain := context.WithTimeout(context.Background(), drainTimeout)
-	defer cancelDrain()
-	go func() {
-		select {
-		case sig := <-sigc:
-			log.Printf("%v: abandoning in-flight jobs", sig)
-			cancelDrain()
-		case <-drainCtx.Done():
+	what := fmt.Sprintf("coordinating %d nodes", len(nodes))
+	serve(addr, what, "abandons in-flight jobs", c.Handler(), drainTimeout, func(ctx context.Context) {
+		if err := c.Drain(ctx); err != nil {
+			log.Fatalf("drain incomplete: %v", err)
 		}
-	}()
-	go srv.Shutdown(drainCtx)
-	if err := c.Drain(drainCtx); err != nil {
-		log.Fatalf("drain incomplete: %v", err)
-	}
-	st := c.Stats()
-	log.Printf("drained, exiting (submits=%d affinity=%d reroutes=%d lost=%d)",
-		st.Submits, st.AffinityHits, st.Reroutes, st.Lost)
+		st := c.Stats()
+		log.Printf("drained, exiting (submits=%d affinity=%d reroutes=%d lost=%d)",
+			st.Submits, st.AffinityHits, st.Reroutes, st.Lost)
+	})
 }

@@ -14,9 +14,8 @@
 //
 // Every target f.Adds the seed corpus (SeedCorpus), which covers the
 // interesting regimes by construction: exception rendezvous, saturated
-// laggers, and store-queue backpressure. FuzzContest also keeps a
-// checked-in copy under testdata/fuzz/FuzzContest/, regenerated by
-// `go run ./fuzz/gen`.
+// laggers, and store-queue backpressure. SeedCorpus is the corpus's only
+// copy; no target keeps one under testdata/.
 package fuzz
 
 import (

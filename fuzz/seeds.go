@@ -6,8 +6,8 @@ package fuzz
 // lagger, store-queue backpressure, a 3-way contest, predictor diversity
 // (TAGE vs bimodal), cold-state kill-refork warm-up, and cache-component
 // diversity (SRRIP/random replacement with both prefetchers). Every target
-// f.Adds them, so `go test` exercises each regime even without -fuzz; `go
-// run ./fuzz/gen` also writes them into testdata/fuzz/FuzzContest/.
+// f.Adds them, so `go test` exercises each regime even without -fuzz, as
+// the target's seed#N subtests.
 
 func pad(b []byte, n int) []byte {
 	out := make([]byte, n)
@@ -55,7 +55,7 @@ var (
 // warmByte packs the warm-up ladder index (bits 0-1), cold-predictor (bit
 // 2), cold-caches (bit 3), and the lead-change ladder index (bits 4+).
 
-// SeedCorpus returns the checked-in seed inputs, in a fixed order. Index 0
+// SeedCorpus returns the seed inputs, in a fixed order. Index 0
 // is the engine-defaults seed.
 func SeedCorpus() [][]byte {
 	storeHeavy := make([]byte, 22)

@@ -34,18 +34,13 @@ type PrefetchConfig struct {
 	Params string `json:",omitempty"`
 }
 
-// Validate reports the error NewPrefetcher would return for the config.
-// A built-in prefetcher is checked without building it. A registered one
-// can only be checked by building it, and the config does not carry the
-// L1 block size its factory takes, so it is built for validateBlockBytes.
-func (p PrefetchConfig) Validate() error {
-	_, err := p.prefetcher(validateBlockBytes, false)
+// Validate reports the error NewPrefetcher would return for the config on
+// an L1 of blockBytes-byte lines. A built-in prefetcher is checked without
+// building it; a registered one can only be checked by building it.
+func (p PrefetchConfig) Validate(blockBytes int) error {
+	_, err := p.prefetcher(blockBytes, false)
 	return err
 }
-
-// validateBlockBytes is the line size Validate builds a registered
-// prefetcher for.
-const validateBlockBytes = 64
 
 // prefetchArgs is what a prefetcher is built from.
 type prefetchArgs struct {

@@ -212,13 +212,13 @@ func TestPrefetcherRegistry(t *testing.T) {
 	if err := RegisterPrefetcher("nextline", factory); err == nil {
 		t.Error("duplicate registration accepted")
 	}
-	if err := (PrefetchConfig{Name: "no-such"}).Validate(); err == nil {
+	if err := (PrefetchConfig{Name: "no-such"}).Validate(64); err == nil {
 		t.Error("unknown prefetcher validated")
 	}
-	if err := (PrefetchConfig{Params: "x"}).Validate(); err == nil {
+	if err := (PrefetchConfig{Params: "x"}).Validate(64); err == nil {
 		t.Error("params without a name validated")
 	}
-	if err := (PrefetchConfig{}).Validate(); err != nil {
+	if err := (PrefetchConfig{}).Validate(64); err != nil {
 		t.Errorf("zero config: %v", err)
 	}
 }
@@ -341,8 +341,9 @@ func TestValidateAgreesWithConstructor(t *testing.T) {
 		}
 		for _, name := range append([]string{""}, PrefetcherNames()...) {
 			p := PrefetchConfig{Name: name, Params: params}
-			_, err := NewPrefetcher(p, validateBlockBytes)
-			if verr := p.Validate(); fmt.Sprint(verr) != fmt.Sprint(err) {
+			const blockBytes = 64
+			_, err := NewPrefetcher(p, blockBytes)
+			if verr := p.Validate(blockBytes); fmt.Sprint(verr) != fmt.Sprint(err) {
 				t.Errorf("prefetcher %q, params %q: Validate = %v, NewPrefetcher = %v", name, params, verr, err)
 			}
 		}

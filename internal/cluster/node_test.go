@@ -259,6 +259,46 @@ func TestNodeRejectsComponentParamsAndRegionSize(t *testing.T) {
 	}
 }
 
+// registerOnly64 registers a prefetcher that refuses any L1 line size but
+// 64 bytes.
+var registerOnly64 = sync.OnceValue(func() error {
+	return cache.RegisterPrefetcher("only64", func(blockBytes int, _ string) (cache.Prefetcher, error) {
+		if blockBytes != 64 {
+			return nil, fmt.Errorf("only64: %d-byte lines", blockBytes)
+		}
+		return cache.NewPrefetcher(cache.PrefetchConfig{Name: "nextline"}, blockBytes)
+	})
+})
+
+// TestNodeRejectsPrefetcherAtL1LineSize: a registered prefetcher is
+// checked at the core's own L1 line size, so a custom core whose L1 lines
+// the prefetcher refuses fails CoreConfig.Validate and spec.Validate, and a
+// node answers 422 instead of accepting a job that NewCore would fail.
+func TestNodeRejectsPrefetcherAtL1LineSize(t *testing.T) {
+	if err := registerOnly64(); err != nil {
+		t.Fatal(err)
+	}
+	c := config.MustPaletteCore("gcc")
+	c.Name, c.L1D.BlockBytes, c.Prefetch = "gcc-32b", 32, cache.PrefetchConfig{Name: "only64"}
+	const want = "only64: 32-byte lines"
+	if err := c.Validate(); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("CoreConfig.Validate = %v, want an error naming %q", err, want)
+	}
+	sp := spec.Spec{Kind: spec.KindRun, Bench: "gcc", Custom: []config.CoreConfig{c}}
+	if err := sp.Validate(); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("spec.Validate = %v, want an error naming %q", err, want)
+	}
+	b, err := json.Marshal(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, _ := newTestNode(t, 1, NodeOptions{})
+	code, v := post(t, srv.URL+"/v1/jobs", `{"kind":"run","bench":"gcc","custom":[`+string(b)+`]}`)
+	if code != http.StatusUnprocessableEntity || !strings.Contains(fmt.Sprint(v), want) {
+		t.Errorf("status %d, want 422 naming %q (%v)", code, want, v)
+	}
+}
+
 // TestNodeResultConflict: asking for a result before the job is terminal is
 // a 409, not a hang or a partial payload.
 func TestNodeResultConflict(t *testing.T) {

@@ -70,7 +70,7 @@ func (c CoreConfig) Validate() error {
 	if err := c.Predictor.Validate(); err != nil {
 		return fmt.Errorf("config %s: %w", c.Name, err)
 	}
-	if err := c.Prefetch.Validate(); err != nil {
+	if err := c.Prefetch.Validate(c.L1D.BlockBytes); err != nil {
 		return fmt.Errorf("config %s: %w", c.Name, err)
 	}
 	return nil

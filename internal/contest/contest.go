@@ -28,6 +28,16 @@ import (
 	"archcontest/internal/ticks"
 )
 
+// DefaultLatencyNs is the paper's core-to-core latency (three cycles of a
+// 3GHz core): the latency a contest that sets none runs at, and is keyed at.
+const DefaultLatencyNs = 1.0
+
+// MinCores and MaxCores bound the cores one contest couples.
+const (
+	MinCores = 2
+	MaxCores = 8
+)
+
 // MaxLagLimit is the largest MaxLag a contest accepts: every core keeps a
 // result log of MaxLag rounded up to a power of two, 8 bytes an entry, so
 // this bounds a log at 8 MiB.
@@ -36,7 +46,7 @@ const MaxLagLimit = 1 << 20
 // Options configures a contested run.
 type Options struct {
 	// LatencyNs is the core-to-core (GRB propagation) latency in
-	// nanoseconds. Zero selects the paper's default of 1ns.
+	// nanoseconds. Zero selects DefaultLatencyNs.
 	LatencyNs float64
 	// MaxLag is the result-FIFO capacity in instructions: the maximum
 	// lagging distance before a core is declared a saturated lagger. The
@@ -166,7 +176,7 @@ func (o Options) Validate() error {
 
 func (o *Options) applyDefaults(n int) {
 	if o.LatencyNs == 0 {
-		o.LatencyNs = 1.0
+		o.LatencyNs = DefaultLatencyNs
 	}
 	if o.MaxLag == 0 {
 		o.MaxLag = 4096

@@ -39,11 +39,11 @@ type System struct {
 // NewSystem builds a contesting system over the given core configurations.
 // Private hierarchies run write-through, as contesting requires.
 func NewSystem(cfgs []config.CoreConfig, tr *trace.Trace, opts Options) (*System, error) {
-	if len(cfgs) < 2 {
-		return nil, fmt.Errorf("contest: need at least two cores, got %d", len(cfgs))
+	if len(cfgs) < MinCores {
+		return nil, fmt.Errorf("contest: need at least %d cores, got %d", MinCores, len(cfgs))
 	}
-	if len(cfgs) > 8 {
-		return nil, fmt.Errorf("contest: %d cores exceeds the supported 8", len(cfgs))
+	if len(cfgs) > MaxCores {
+		return nil, fmt.Errorf("contest: %d cores exceeds the supported %d", len(cfgs), MaxCores)
 	}
 	if tr == nil || tr.Len() == 0 {
 		return nil, fmt.Errorf("contest: empty trace")
@@ -199,10 +199,6 @@ func (s *System) declareSaturated(core int) {
 	s.queue.DisableCore(core)
 }
 
-// ctxPollStride matches sim.ctxPollStride: scheduler iterations between
-// context polls. The check never runs per simulated cycle.
-const ctxPollStride = 4096
-
 // Run executes the contest to completion: the system finishes when the
 // first core retires the whole trace. The event-driven scheduler is used
 // unless Options.SingleStep selects the reference cycle-by-cycle loop; both
@@ -212,8 +208,8 @@ func (s *System) Run() (Result, error) {
 }
 
 // RunContext is Run with cooperative cancellation: both scheduler loops
-// poll ctx.Done() every ctxPollStride iterations and return ctx.Err() when
-// the context ends. A Background context costs one nil check at entry.
+// poll ctx through a sim.Poller, never per simulated cycle, and return
+// ctx.Err() when the context ends.
 func (s *System) RunContext(ctx context.Context) (Result, error) {
 	if s.opts.SingleStep {
 		return s.runSingleStep(ctx)
@@ -227,18 +223,10 @@ func (s *System) runSingleStep(ctx context.Context) (Result, error) {
 	maxTime := ticks.Time(ticks.FromNanoseconds(s.opts.MaxTimeNs))
 	n := len(s.cores)
 	progress := s.meter()
-	done := ctx.Done()
-	var poll int
+	poll := sim.NewPoller(ctx)
 	for {
-		if done != nil {
-			if poll++; poll >= ctxPollStride {
-				poll = 0
-				select {
-				case <-done:
-					return Result{}, ctx.Err()
-				default:
-				}
-			}
+		if poll.Stopped() {
+			return Result{}, ctx.Err()
 		}
 		// Step the core with the earliest next clock edge; ties resolve by
 		// core index, the paper's round-robin handshake order.
@@ -291,18 +279,10 @@ func (s *System) runEventDriven(ctx context.Context) (Result, error) {
 	maxTime := ticks.Time(ticks.FromNanoseconds(s.opts.MaxTimeNs))
 	obs := s.opts.Observer
 	progress := s.meter()
-	done := ctx.Done()
-	var poll int
+	poll := sim.NewPoller(ctx)
 	for {
-		if done != nil {
-			if poll++; poll >= ctxPollStride {
-				poll = 0
-				select {
-				case <-done:
-					return Result{}, ctx.Err()
-				default:
-				}
-			}
+		if poll.Stopped() {
+			return Result{}, ctx.Err()
 		}
 		// A linear scan: contests have at most eight cores.
 		i, t := 0, s.live[0]

@@ -43,8 +43,8 @@ type Config struct {
 	// N is the trace length in instructions (default 1,000,000 — the scaled
 	// stand-in for the paper's 100M-instruction SimPoints).
 	N int
-	// LatencyNs is the core-to-core latency (default 1ns, the paper's
-	// three cycles of a 3GHz core).
+	// LatencyNs is the core-to-core latency (default
+	// contest.DefaultLatencyNs).
 	LatencyNs float64
 	// CandidatePairs is how many oracle-shortlisted pairs are contested per
 	// benchmark when searching for its best contesting pair (default 3; the
@@ -85,7 +85,7 @@ func (c *Config) applyDefaults() {
 		c.N = 1_000_000
 	}
 	if c.LatencyNs == 0 {
-		c.LatencyNs = defaultLatencyNs
+		c.LatencyNs = contest.DefaultLatencyNs
 	}
 	if c.CandidatePairs == 0 {
 		c.CandidatePairs = 3

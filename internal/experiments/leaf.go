@@ -21,10 +21,6 @@ import (
 	"archcontest/internal/trace"
 )
 
-// defaultLatencyNs is the paper's core-to-core latency (three cycles of a
-// 3GHz core), the latency a contest without one runs at.
-const defaultLatencyNs = 1.0
-
 // RunKey derives the content address of one single-core leaf run: engine
 // version, trace fingerprint and shape, core configuration, run options.
 // Attached checkers are not part of it.
@@ -38,7 +34,7 @@ func RunKey(tr *trace.Trace, cfg config.CoreConfig, opts sim.RunOptions) string 
 // contest that names the default.
 func ContestKey(tr *trace.Trace, cfgs []config.CoreConfig, opts contest.Options) string {
 	if opts.LatencyNs == 0 {
-		opts.LatencyNs = defaultLatencyNs
+		opts.LatencyNs = contest.DefaultLatencyNs
 	}
 	return resultcache.Key("contest", sim.EngineVersion, tr.Fingerprint(), tr.Name(), tr.Len(), cfgs, opts)
 }

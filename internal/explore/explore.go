@@ -79,7 +79,7 @@ var (
 type Options struct {
 	// Seed drives the annealing schedule deterministically.
 	Seed uint64
-	// Steps is the number of annealing moves (default 200). The
+	// Steps is the number of annealing moves (default DefaultSteps). The
 	// temperature cools geometrically from hotTemp to coldTemp over them.
 	Steps int
 	// Lookahead is the speculative batch size K: how many candidate
@@ -133,6 +133,10 @@ type Options struct {
 // begin to rule out candidates the detailed engine would have accepted.
 const DefaultFastMargin = 0.10
 
+// DefaultSteps is the number of annealing moves a walk that sets none
+// takes.
+const DefaultSteps = 200
+
 // hotTemp and coldTemp bound the annealer's geometric cooling schedule, in
 // relative objective units.
 const (
@@ -142,7 +146,7 @@ const (
 
 func (o *Options) applyDefaults() {
 	if o.Steps == 0 {
-		o.Steps = 200
+		o.Steps = DefaultSteps
 	}
 	if o.Lookahead <= 0 {
 		o.Lookahead = 1

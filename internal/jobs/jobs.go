@@ -63,9 +63,10 @@ type Snapshot struct {
 	// Seq increments on every observable update (progress, state change),
 	// so watchers can cheaply detect "anything new?".
 	Seq int64 `json:"seq"`
-	// Done/Total report execution progress in the spec's progress units
-	// (retired instructions for run/contest, steps for explore; zero for
-	// campaign kinds — watch the campaign counters instead).
+	// Done/Total report execution progress in the spec's progress unit
+	// (spec.ProgressTotal): retired instructions out of n for run and
+	// contest, annealing steps for explore, both from submission on. They
+	// stay zero for experiment and matrix kinds; watch Campaign instead.
 	Done  int64 `json:"done"`
 	Total int64 `json:"total"`
 	// Campaign counts executed leaf work for experiment/matrix kinds.
@@ -252,7 +253,7 @@ func (r *Runner) Submit(sp spec.Spec) (*Job, error) {
 		done:      make(chan struct{}),
 		submitted: time.Now(),
 	}
-	j.total.Store(int64(sp.N))
+	j.total.Store(sp.ProgressTotal())
 
 	r.mu.Lock()
 	if r.draining {

@@ -231,3 +231,45 @@ func TestJobSubscribe(t *testing.T) {
 	}
 	waitDone(t, j)
 }
+
+// TestJobProgressUnits: a job counts progress in its spec's unit from
+// submission to the end: a run's total is n and an explore's its step
+// count, each reached by Done at the end, while an experiment, whose
+// progress is its campaign counters, keeps Done and Total at 0.
+func TestJobProgressUnits(t *testing.T) {
+	r := NewRunner(spec.NewEnv(nil), 1)
+	for _, c := range []struct {
+		sp    spec.Spec
+		total int64
+	}{
+		{runSpec(20000), 20000},
+		{spec.Spec{Kind: spec.KindExplore, Bench: "gcc", N: 4000, Explore: &spec.ExploreSpec{Seed: 1, Steps: 6}}, 6},
+		{spec.Spec{Kind: spec.KindExperiment, Experiment: "appendixA", N: 2000}, 0},
+	} {
+		j, err := r.Submit(c.sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ch, release := j.Subscribe()
+		deadline := time.After(30 * time.Second)
+		snaps := []Snapshot{j.Snapshot()}
+		for !snaps[len(snaps)-1].State.Terminal() {
+			select {
+			case <-ch:
+			case <-deadline:
+				t.Fatalf("%s job did not finish", c.sp.Kind)
+			}
+			snaps = append(snaps, j.Snapshot())
+		}
+		release()
+		for _, s := range snaps {
+			if s.Total != c.total {
+				t.Errorf("%s job: %s snapshot total %d, want %d", c.sp.Kind, s.State, s.Total, c.total)
+				break
+			}
+		}
+		if last := snaps[len(snaps)-1]; last.State != StateDone || last.Done != c.total {
+			t.Errorf("%s job ended %s at %d of %d, want done at %d", c.sp.Kind, last.State, last.Done, last.Total, c.total)
+		}
+	}
+}

@@ -62,3 +62,31 @@ func TestRunContextBackgroundMatchesRun(t *testing.T) {
 		t.Fatalf("RunContext(Background) diverged from Run: %+v vs %+v", a, b)
 	}
 }
+
+// TestPoller: a poller over a context that cannot end never stops; over a
+// cancelled one it stops on the next stride boundary and not before.
+func TestPoller(t *testing.T) {
+	p := NewPoller(context.Background())
+	for i := 1; i <= 3*pollStride; i++ {
+		if p.Stopped() {
+			t.Fatalf("Background poller stopped at call %d", i)
+		}
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	p = NewPoller(ctx)
+	for i := 1; i <= pollStride+pollStride/2; i++ {
+		if p.Stopped() {
+			t.Fatalf("live poller stopped at call %d", i)
+		}
+	}
+	cancel()
+	for i := pollStride + pollStride/2 + 1; i < 2*pollStride; i++ {
+		if p.Stopped() {
+			t.Fatalf("cancelled poller stopped at call %d, before the stride boundary %d", i, 2*pollStride)
+		}
+	}
+	if !p.Stopped() {
+		t.Fatalf("cancelled poller did not stop at the stride boundary %d", 2*pollStride)
+	}
+}

@@ -128,12 +128,42 @@ func (m *Meter) after(done int64) int64 {
 	return (k*m.total + progressSteps - 1) / progressSteps
 }
 
-// ctxPollStride is how many scheduler iterations pass between context
-// polls in the run loops. Each iteration is a progressing step (or a
+// pollStride is how many scheduler iterations pass between context polls
+// in the run loops. Each iteration is a progressing step (or a
 // fast-forward over dead cycles), so a poll every 4096 iterations bounds
 // the cancellation latency to a few microseconds of simulated work while
 // keeping the check off the per-cycle hot path entirely.
-const ctxPollStride = 4096
+const pollStride = 4096
+
+// Poller is a run loop's cancellation poll, shared by sim.RunContext and
+// both contest schedulers: a loop calls Stopped once per iteration and
+// returns ctx.Err() when it reports true. Only every pollStride-th call
+// reads the context's Done channel; a context that cannot end (Background)
+// costs one nil check per call.
+type Poller struct {
+	done <-chan struct{}
+	n    int
+}
+
+// NewPoller returns the poller of a loop running under ctx.
+func NewPoller(ctx context.Context) Poller { return Poller{done: ctx.Done()} }
+
+// Stopped reports whether ctx had ended at the last stride boundary.
+func (p *Poller) Stopped() bool {
+	if p.done == nil {
+		return false
+	}
+	if p.n++; p.n < pollStride {
+		return false
+	}
+	p.n = 0
+	select {
+	case <-p.done:
+		return true
+	default:
+		return false
+	}
+}
 
 // Run executes the trace to completion on a single core.
 func Run(cfg config.CoreConfig, tr *trace.Trace, opts RunOptions) (Result, error) {
@@ -141,9 +171,8 @@ func Run(cfg config.CoreConfig, tr *trace.Trace, opts RunOptions) (Result, error
 }
 
 // RunContext is Run with cooperative cancellation: the run loop polls
-// ctx.Done() every ctxPollStride scheduler iterations (never per cycle)
-// and returns ctx.Err() when the context ends. A Background context costs
-// a single nil check at entry.
+// ctx.Done() every pollStride scheduler iterations (never per cycle, see
+// Poller) and returns ctx.Err() when the context ends.
 func RunContext(ctx context.Context, cfg config.CoreConfig, tr *trace.Trace, opts RunOptions) (Result, error) {
 	popts := pipeline.Options{WritePolicy: opts.WritePolicy, Checker: opts.Checker}
 	if opts.LogRegions {
@@ -153,8 +182,7 @@ func RunContext(ctx context.Context, cfg config.CoreConfig, tr *trace.Trace, opt
 	if err != nil {
 		return Result{}, err
 	}
-	done := ctx.Done()
-	var poll int
+	poll := NewPoller(ctx)
 	progress := NewMeter(opts.Progress, int64(tr.Len()))
 	for !core.Done() {
 		if opts.SingleStep {
@@ -166,15 +194,8 @@ func RunContext(ctx context.Context, cfg config.CoreConfig, tr *trace.Trace, opt
 		if opts.MaxCycles > 0 && core.Cycle() > opts.MaxCycles {
 			return Result{}, fmt.Errorf("sim: %s on %s exceeded %d cycles", tr.Name(), cfg.Name, opts.MaxCycles)
 		}
-		if done != nil {
-			if poll++; poll >= ctxPollStride {
-				poll = 0
-				select {
-				case <-done:
-					return Result{}, ctx.Err()
-				default:
-				}
-			}
+		if poll.Stopped() {
+			return Result{}, ctx.Err()
 		}
 	}
 	st := core.Stats()

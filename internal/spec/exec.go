@@ -103,50 +103,6 @@ func (o *Outcome) WriteChromeTrace(w io.Writer) error {
 	return o.recorder.WriteChromeTrace(w)
 }
 
-// progressTracker sends a spec's final progress, (total, total), and
-// reports an exploration's step progress in between, monotonic and
-// throttled so the hook fires O(hundreds) of times per walk. A run or a
-// contest reports its own progress from the engine's run loop.
-type progressTracker struct {
-	fn     func(done, total int64)
-	total  int64
-	stride int64
-	max    int64
-	next   int64
-}
-
-func newProgressTracker(fn func(done, total int64), total int64) *progressTracker {
-	if fn == nil {
-		return nil
-	}
-	stride := total / 256
-	if stride < 1 {
-		stride = 1
-	}
-	return &progressTracker{fn: fn, total: total, stride: stride}
-}
-
-func (p *progressTracker) observe(done int64) {
-	if p == nil || done <= p.max {
-		return
-	}
-	p.max = done
-	if done >= p.next {
-		p.next = done + p.stride
-		p.fn(done, p.total)
-	}
-}
-
-func (p *progressTracker) finish() {
-	if p == nil {
-		return
-	}
-	if p.max < p.total {
-		p.max = p.total
-	}
-	p.fn(p.max, p.total)
-}
-
 // Execute validates and runs the spec inside the environment. Cancelling
 // ctx stops the execution cooperatively: the engines exit at their next
 // context poll, campaign layers abandon un-started leaves, and no partial
@@ -159,17 +115,27 @@ func Execute(ctx context.Context, sp Spec, env *Env, hooks Hooks) (*Outcome, err
 	if err := sp.Validate(); err != nil {
 		return nil, err
 	}
+	var out *Outcome
+	var err error
 	switch sp.Kind {
 	case KindRun:
-		return executeRun(ctx, sp, env, hooks)
+		out, err = executeRun(ctx, sp, env, hooks)
 	case KindContest:
-		return executeContest(ctx, sp, env, hooks)
+		out, err = executeContest(ctx, sp, env, hooks)
 	case KindExperiment, KindMatrix:
-		return executeCampaign(ctx, sp, env, hooks)
+		out, err = executeCampaign(ctx, sp, env, hooks)
 	case KindExplore:
-		return executeExplore(ctx, sp, env, hooks)
+		out, err = executeExplore(ctx, sp, env, hooks)
 	}
-	return nil, fmt.Errorf("spec: unknown kind %q", sp.Kind)
+	if err != nil {
+		return nil, err
+	}
+	// A leaf served from the cache reports no progress of its own, so a
+	// spec with a progress unit ends on (total, total).
+	if total := sp.ProgressTotal(); hooks.Progress != nil && total > 0 {
+		hooks.Progress(total, total)
+	}
+	return out, nil
 }
 
 // generateTrace builds the spec's benchmark trace.
@@ -181,12 +147,12 @@ func generateTrace(sp Spec) (*trace.Trace, error) {
 	return workload.Generate(p, sp.N)
 }
 
-// executeRun and executeContest execute one leaf each through the
-// experiments leaf path: a plain leaf is served from and stored into the
-// cache, a verified or recorded one bypasses it. The engine's run loop
-// reports progress straight to the hook, and the tracker sends the final
-// (n, n), also for a leaf served from the cache. The recorder rides beside
-// the verification checkers.
+// executeRun and executeContest execute one leaf each, on the spec's
+// resolved options, through the experiments leaf path: a plain leaf is
+// served from and stored into the cache, a verified or recorded one
+// bypasses it. The engine's run loop reports progress straight to the
+// hook, and Execute sends the final (n, n). The recorder rides beside the
+// verification checkers.
 func executeRun(ctx context.Context, sp Spec, env *Env, hooks Hooks) (*Outcome, error) {
 	cfgs, err := sp.ResolveCores()
 	if err != nil {
@@ -197,12 +163,8 @@ func executeRun(ctx context.Context, sp Spec, env *Env, hooks Hooks) (*Outcome, 
 	if err != nil {
 		return nil, err
 	}
-	var opts sim.RunOptions
-	if sp.Run != nil {
-		opts = *sp.Run
-	}
+	opts := *sp.Run
 	out := &Outcome{Kind: KindRun}
-	tracker := newProgressTracker(hooks.Progress, int64(tr.Len()))
 	opts.Progress = hooks.Progress
 	if sp.Record {
 		out.recorder = obs.NewRecorder(obs.Options{SampleIntervalNs: sp.SampleNs})
@@ -217,7 +179,6 @@ func executeRun(ctx context.Context, sp Spec, env *Env, hooks Hooks) (*Outcome, 
 	if err != nil {
 		return nil, err
 	}
-	tracker.finish()
 	if out.recorder != nil {
 		out.recorder.FinishRun(res)
 		m, err := out.recorder.Metrics()
@@ -239,15 +200,8 @@ func executeContest(ctx context.Context, sp Spec, env *Env, hooks Hooks) (*Outco
 	if err != nil {
 		return nil, err
 	}
-	var opts contest.Options
-	if sp.Contest != nil {
-		opts = *sp.Contest
-	}
-	if opts.LatencyNs == 0 {
-		opts.LatencyNs = sp.LatencyNs
-	}
+	opts := *sp.Contest
 	out := &Outcome{Kind: KindContest}
-	tracker := newProgressTracker(hooks.Progress, int64(tr.Len()))
 	opts.Progress = hooks.Progress
 	if sp.Record {
 		out.recorder = obs.NewRecorder(obs.Options{SampleIntervalNs: sp.SampleNs})
@@ -262,7 +216,6 @@ func executeContest(ctx context.Context, sp Spec, env *Env, hooks Hooks) (*Outco
 	if err != nil {
 		return nil, err
 	}
-	tracker.finish()
 	if out.recorder != nil {
 		out.recorder.FinishContest(res)
 		m, err := out.recorder.Metrics()
@@ -338,17 +291,12 @@ func executeExplore(ctx context.Context, sp Spec, env *Env, hooks Hooks) (*Outco
 		FastFilter:  e.FastFilter,
 		FastMargin:  e.FastMargin,
 	}
-	var tracker *progressTracker
-	if hooks.Progress != nil {
-		steps := opts.Steps
-		if steps == 0 {
-			steps = 200 // the annealer's default
-		}
-		tracker = newProgressTracker(hooks.Progress, int64(steps))
-	}
-	if hooks.ExploreMove != nil || tracker != nil {
+	// Step progress goes through the run loops' meter; Execute sends the
+	// final (steps, steps).
+	progress := sim.NewMeter(hooks.Progress, int64(e.Steps))
+	if hooks.ExploreMove != nil || hooks.Progress != nil {
 		opts.Progress = func(step int, cfg config.CoreConfig, ipt float64) {
-			tracker.observe(int64(step + 1))
+			progress.Observe(int64(step + 1))
 			if hooks.ExploreMove != nil {
 				hooks.ExploreMove(step, cfg, ipt)
 			}
@@ -358,6 +306,5 @@ func executeExplore(ctx context.Context, sp Spec, env *Env, hooks Hooks) (*Outco
 	if err != nil {
 		return nil, err
 	}
-	tracker.finish()
 	return &Outcome{Kind: KindExplore, Explore: &res}, nil
 }

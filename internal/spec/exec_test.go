@@ -219,3 +219,24 @@ func TestProgressPlainAndVerified(t *testing.T) {
 		}
 	}
 }
+
+// TestExploreDefaultStepsProgress: an explore spec that sets no steps walks
+// explore.DefaultSteps and reports them through the run loops' meter: at
+// most 257 calls, never decreasing, the last (200, 200).
+func TestExploreDefaultStepsProgress(t *testing.T) {
+	var calls [][2]int64
+	hooks := Hooks{Progress: func(done, total int64) { calls = append(calls, [2]int64{done, total}) }}
+	sp := Spec{Kind: KindExplore, Bench: "gcc", N: 2000, Explore: &ExploreSpec{Seed: 1}}
+	if _, err := Execute(context.Background(), sp, NewEnv(nil), hooks); err != nil {
+		t.Fatal(err)
+	}
+	const steps = explore.DefaultSteps
+	if len(calls) == 0 || len(calls) > 257 || calls[len(calls)-1] != [2]int64{steps, steps} {
+		t.Fatalf("%d progress calls ending %v, want 1 to 257 ending at (%d, %d)", len(calls), calls[max(0, len(calls)-1):], steps, steps)
+	}
+	for i := 1; i < len(calls); i++ {
+		if calls[i][0] < calls[i-1][0] || calls[i][1] != steps {
+			t.Fatalf("progress %v then %v, want non-decreasing done out of %d", calls[i-1], calls[i], steps)
+		}
+	}
+}

@@ -1,6 +1,8 @@
 package spec
 
 import (
+	"encoding/json"
+	"reflect"
 	"testing"
 
 	"archcontest/internal/cache"
@@ -14,7 +16,9 @@ import (
 // explore window and step count within their limits, the core count its
 // kind allows (2..8 for a contest), and contest options with no negative
 // duration, a MaxLag of at most contest.MaxLagLimit and a RegionSize of 0
-// or at least sim.RegionSize. The target never executes a spec.
+// or at least sim.RegionSize. Every accepted spec is a fixed point of
+// Normalize, and its RouteKey equals that of its marshalled and re-parsed
+// form, the form a coordinator forwards. The target never executes a spec.
 //
 //	go test -fuzz=FuzzSpec -fuzztime=30s -run '^$' ./internal/spec/
 func FuzzSpec(f *testing.F) {
@@ -25,6 +29,8 @@ func FuzzSpec(f *testing.F) {
 		`{"kind":"matrix"}`,
 		`{"kind":"explore","bench":"gcc"}`,
 		`{"kind":"run","bench":"gcc","n":10000000000}`,
+		`{"kind":"experiment","experiment":"fig6","latency_ns":-0}`,
+		`{"kind":"explore","bench":"gcc","explore":{"fast_filter":true,"fast_margin":-0}}`,
 	} {
 		f.Add([]byte(s))
 	}
@@ -35,6 +41,22 @@ func FuzzSpec(f *testing.F) {
 		sp, err := Parse(data)
 		if err != nil || sp.Validate() != nil {
 			return
+		}
+		again := sp
+		again.Normalize()
+		if !reflect.DeepEqual(again, sp) {
+			t.Errorf("accepted spec is not a fixed point of Normalize:\n%+v\n%+v", sp, again)
+		}
+		wire, err := json.Marshal(sp)
+		if err != nil {
+			t.Fatalf("marshal an accepted spec: %v", err)
+		}
+		forwarded, err := Parse(wire)
+		if err != nil {
+			t.Fatalf("re-parse %s: %v", wire, err)
+		}
+		if forwarded.RouteKey() != sp.RouteKey() {
+			t.Errorf("%s routes differently from the spec it was marshalled from", wire)
 		}
 		if sp.N < 1 || sp.N > maxN {
 			t.Errorf("accepted n = %d", sp.N)

@@ -20,13 +20,21 @@ import (
 // which artifacts it produces, so a recorded re-run of a cached scenario
 // still routes to the node that holds its artifacts.
 //
-// RouteKey normalizes a copy of the spec; an invalid spec still yields a
-// deterministic key (resolution errors fold in as an empty core list), so
-// routing never fails before validation does.
+// RouteKey hashes a normalized copy of the spec, whose leaf options are
+// resolved, so specs that state the same leaves differently route alike.
+// The top-level latency is hashed only where a leaf reads it through a Lab
+// (a contest's is resolved into its options, and no other leaf has one),
+// and a -0 there, which the wire form drops, hashes as 0. An invalid spec
+// still yields a deterministic key (resolution errors fold in as an empty
+// core list), so routing never fails before validation does.
 func (sp Spec) RouteKey() string {
 	sp.Normalize()
 	cfgs, _ := sp.ResolveCores()
+	var lat float64
+	if sp.LatencyNs != 0 && (sp.Kind == KindExperiment || sp.Kind == KindMatrix) {
+		lat = sp.LatencyNs
+	}
 	return resultcache.Key("route",
 		sim.EngineVersion, sp.Kind, sp.Bench, sp.N, cfgs,
-		sp.LatencyNs, sp.Run, sp.Contest, sp.Experiment, sp.Pairs, sp.Explore)
+		lat, sp.Run, sp.Contest, sp.Experiment, sp.Pairs, sp.Explore)
 }

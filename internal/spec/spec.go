@@ -22,6 +22,7 @@ import (
 	"archcontest/internal/config"
 	"archcontest/internal/contest"
 	"archcontest/internal/experiments"
+	"archcontest/internal/explore"
 	"archcontest/internal/sim"
 	"archcontest/internal/workload"
 )
@@ -68,8 +69,8 @@ type Spec struct {
 	Cores []string `json:"cores,omitempty"`
 	// Custom supplies explicit core configurations, appended after Cores.
 	Custom []config.CoreConfig `json:"custom,omitempty"`
-	// LatencyNs overrides the contest core-to-core latency (also the
-	// experiment Lab's default latency).
+	// LatencyNs is the contest core-to-core latency when Contest sets none
+	// (also the experiment Lab's default latency).
 	LatencyNs float64 `json:"latency_ns,omitempty"`
 	// Run holds single-run options (run kind).
 	Run *sim.RunOptions `json:"run,omitempty"`
@@ -105,7 +106,8 @@ type Spec struct {
 type ExploreSpec struct {
 	// Seed drives the walk deterministically.
 	Seed uint64 `json:"seed,omitempty"`
-	// Steps is the number of annealing moves.
+	// Steps is the number of annealing moves (0 selects
+	// explore.DefaultSteps).
 	Steps int `json:"steps,omitempty"`
 	// Lookahead is the annealer's speculative batch size K.
 	Lookahead int `json:"lookahead,omitempty"`
@@ -150,8 +152,13 @@ func (sp *Spec) inferKind() string {
 	}
 }
 
-// Normalize fills in the inferred kind and the kind's defaults. Validate
-// and Execute call it; calling it first is idempotent.
+// Normalize fills in the inferred kind, the kind's defaults and its
+// resolved leaf options: a run always carries its sim.RunOptions, a
+// contest its contest.Options with the latency resolved (its own
+// LatencyNs, else latency_ns, else contest.DefaultLatencyNs), and an
+// explore its step count. It resolves into copies and never writes through
+// the caller's Run, Contest or Explore. Validate and Execute call it;
+// calling it first is idempotent.
 func (sp *Spec) Normalize() {
 	sp.Kind = sp.inferKind()
 	if sp.N == 0 {
@@ -167,9 +174,50 @@ func (sp *Spec) Normalize() {
 	if sp.Kind == KindRun && len(sp.Cores)+len(sp.Custom) == 0 && sp.Bench != "" {
 		sp.Cores = []string{sp.Bench}
 	}
-	if sp.Kind == KindExplore && sp.Explore == nil {
-		sp.Explore = &ExploreSpec{}
+	switch sp.Kind {
+	case KindRun:
+		var o sim.RunOptions
+		if sp.Run != nil {
+			o = *sp.Run
+		}
+		sp.Run = &o
+	case KindContest:
+		var o contest.Options
+		if sp.Contest != nil {
+			o = *sp.Contest
+		}
+		if o.LatencyNs == 0 {
+			o.LatencyNs = sp.LatencyNs
+		}
+		if o.LatencyNs == 0 {
+			o.LatencyNs = contest.DefaultLatencyNs
+		}
+		sp.Contest = &o
+	case KindExplore:
+		var e ExploreSpec
+		if sp.Explore != nil {
+			e = *sp.Explore
+		}
+		if e.Steps == 0 {
+			e.Steps = explore.DefaultSteps
+		}
+		sp.Explore = &e
 	}
+}
+
+// ProgressTotal reports the total of the spec's progress unit, the one
+// Hooks.Progress and a job's snapshot count in: the trace length n for a
+// run or a contest, the step count for an explore, and 0 for an experiment
+// or a matrix, whose progress is their campaign counters.
+func (sp Spec) ProgressTotal() int64 {
+	sp.Normalize()
+	switch sp.Kind {
+	case KindRun, KindContest:
+		return int64(sp.N)
+	case KindExplore:
+		return int64(sp.Explore.Steps)
+	}
+	return 0
 }
 
 // Validate normalizes the spec and reports the first problem with it as a
@@ -225,8 +273,8 @@ func (sp *Spec) Validate() error {
 			return fmt.Errorf("spec: kind run wants exactly one core, got %d", cores)
 		}
 	case KindContest:
-		if cores < 2 || cores > 8 {
-			return fmt.Errorf("spec: kind contest wants 2..8 cores, got %d", cores)
+		if cores < contest.MinCores || cores > contest.MaxCores {
+			return fmt.Errorf("spec: kind contest wants %d..%d cores, got %d", contest.MinCores, contest.MaxCores, cores)
 		}
 	default:
 		if cores != 0 {

@@ -13,6 +13,9 @@ import (
 	"archcontest/internal/cache"
 	"archcontest/internal/config"
 	"archcontest/internal/contest"
+	"archcontest/internal/explore"
+	"archcontest/internal/resultcache"
+	"archcontest/internal/sim"
 )
 
 const testInsts = 10_000
@@ -347,5 +350,73 @@ func TestRouteKey(t *testing.T) {
 		if mutated.RouteKey() == k {
 			t.Errorf("%s change did not change the route key", name)
 		}
+	}
+
+	// Specs that state the same leaves differently route alike: the second
+	// of each pair is served wholly from the cache the first one filled.
+	for _, pair := range [][2]string{
+		{`{"kind":"contest","bench":"twolf","n":2000,"cores":["twolf","vpr"],"latency_ns":2}`,
+			`{"kind":"contest","bench":"twolf","n":2000,"cores":["twolf","vpr"],"contest":{"LatencyNs":2}}`},
+		{`{"kind":"contest","bench":"twolf","n":2000,"cores":["twolf","vpr"]}`,
+			`{"kind":"contest","bench":"twolf","n":2000,"cores":["twolf","vpr"],"latency_ns":1}`},
+		{`{"kind":"run","bench":"gcc","n":2000}`, `{"kind":"run","bench":"gcc","n":2000,"run":{}}`},
+	} {
+		cache, err := resultcache.Open("", resultcache.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		env := NewEnv(cache)
+		var sps [2]Spec
+		for i, js := range pair {
+			if sps[i], err = Parse([]byte(js)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Execute(context.Background(), sps[i], env, Hooks{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if st := cache.Stats(); st.Misses != 1 || st.Hits != 1 {
+			t.Errorf("%s then %s: %d misses and %d hits, want one of each", pair[0], pair[1], st.Misses, st.Hits)
+		}
+		if sps[0].RouteKey() != sps[1].RouteKey() {
+			t.Errorf("%s and %s share their leaf but route differently", pair[0], pair[1])
+		}
+	}
+}
+
+// TestNormalizeKeepsCallerOptions: Normalize resolves a spec's leaf
+// options into copies, never through the caller's Run, Contest or Explore,
+// and a normalized spec carries them resolved.
+func TestNormalizeKeepsCallerOptions(t *testing.T) {
+	run := &sim.RunOptions{}
+	con := &contest.Options{MaxLag: 64}
+	exp := &ExploreSpec{Seed: 3}
+	sps := []Spec{
+		{Kind: KindRun, Bench: "gcc", N: 2000, Run: run},
+		{Kind: KindContest, Bench: "gcc", N: 2000, Cores: []string{"gcc", "mcf"}, LatencyNs: 2, Contest: con},
+		{Kind: KindExplore, Bench: "gcc", Explore: exp},
+	}
+	for _, sp := range sps {
+		sp.RouteKey()
+		sp.ProgressTotal()
+		if err := sp.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, sp := range sps[:2] {
+		if _, err := Execute(context.Background(), sp, nil, Hooks{Progress: func(int64, int64) {}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !reflect.DeepEqual(*run, sim.RunOptions{}) || !reflect.DeepEqual(*con, contest.Options{MaxLag: 64}) ||
+		*exp != (ExploreSpec{Seed: 3}) {
+		t.Errorf("caller's options changed: run %+v, contest %+v, explore %+v", *run, *con, *exp)
+	}
+	for i := range sps {
+		sps[i].Normalize()
+	}
+	if sps[0].Run == nil || !reflect.DeepEqual(*sps[1].Contest, contest.Options{MaxLag: 64, LatencyNs: 2}) ||
+		*sps[2].Explore != (ExploreSpec{Seed: 3, Steps: explore.DefaultSteps}) {
+		t.Errorf("normalized options: run %v, contest %+v, explore %+v", sps[0].Run, *sps[1].Contest, *sps[2].Explore)
 	}
 }
