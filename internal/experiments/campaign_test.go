@@ -10,6 +10,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"archcontest/internal/obs"
 	"archcontest/internal/resultcache"
@@ -267,14 +268,19 @@ func TestParallelismIndependence(t *testing.T) {
 
 // Every experiment hands its whole leaf list to the pool: on a two-slot Lab,
 // each experiment that executes two or more runs or contests has two of them
-// in flight at once.
+// in flight at once. A pairGate holds each leaf until a second one is in
+// flight, so the check does not depend on the host running both pool
+// workers within one leaf's few milliseconds.
 func TestExperimentsFanOut(t *testing.T) {
 	if runtime.GOMAXPROCS(0) < 2 {
 		t.Skip("leaves cannot overlap on one CPU")
 	}
 	log := obs.NewArtifactLog()
 	l := NewLab(Config{N: 12_000, CandidatePairs: 2, Parallelism: 2, Artifacts: log})
+	gate := &pairGate{}
+	l.leafBody = gate.hold
 	for _, id := range RegistryOrder {
+		gate.reset()
 		before := len(log.Spans())
 		if _, err := Registry[id](context.Background(), l); err != nil {
 			t.Fatalf("%s: %v", id, err)
@@ -289,6 +295,61 @@ func TestExperimentsFanOut(t *testing.T) {
 			t.Errorf("%s executed its %d leaves one at a time", id, len(leaves))
 		}
 	}
+}
+
+// pairWait bounds how long a pairGate holds a leaf that no second leaf
+// joins, so an experiment that runs its leaves one at a time waits it out
+// once and fails rather than hanging.
+const pairWait = 5 * time.Second
+
+// pairGate holds each run or contest until a second one is in flight at the
+// same time. A held leaf has started its span, so the leaf that joins it
+// starts its own span before the held one ends. Once two leaves have met,
+// or one has waited out pairWait, it holds no more until reset.
+type pairGate struct {
+	mu       sync.Mutex
+	inFlight int
+	open     chan struct{} // closed when the gate stops holding
+}
+
+func (g *pairGate) reset() {
+	g.mu.Lock()
+	g.inFlight, g.open = 0, make(chan struct{})
+	g.mu.Unlock()
+}
+
+// openLocked closes open once; g.mu must be held.
+func (g *pairGate) openLocked() {
+	select {
+	case <-g.open:
+	default:
+		close(g.open)
+	}
+}
+
+func (g *pairGate) hold(kind string, body func()) {
+	if kind != "run" && kind != "contest" {
+		body()
+		return
+	}
+	g.mu.Lock()
+	g.inFlight++
+	if g.inFlight == 2 {
+		g.openLocked()
+	}
+	open := g.open
+	g.mu.Unlock()
+	select {
+	case <-open:
+	case <-time.After(pairWait):
+		g.mu.Lock()
+		g.openLocked()
+		g.mu.Unlock()
+	}
+	body()
+	g.mu.Lock()
+	g.inFlight--
+	g.mu.Unlock()
 }
 
 // overlap reports whether any two spans are in flight at the same time.

@@ -114,6 +114,11 @@ type Lab struct {
 	flight flightGroup
 	sem    chan struct{} // bounds concurrently executing leaf computations
 
+	// leafBody, when set, runs each leaf body inside its span;
+	// TestExperimentsFanOut sets it to hold a leaf until a second one is in
+	// flight.
+	leafBody func(kind string, body func())
+
 	traceGens, sims, contests, cacheHits, cacheMisses atomic.Int64
 }
 
@@ -224,6 +229,10 @@ func (l *Lab) execTimed(ctx context.Context, kind, name string, fn func()) error
 		return ctx.Err()
 	}
 	defer func() { <-l.sem }()
+	if l.leafBody != nil {
+		body := fn
+		fn = func() { l.leafBody(kind, body) }
+	}
 	l.cfg.Artifacts.Time(kind, name, fn)
 	return nil
 }
